@@ -3,13 +3,24 @@
 The paper performs an exhaustive, offline DSE over the significance threshold
 tau (step 0.001 for LeNet, 0.01 for AlexNet, range [0, 0.1]) and over the set
 of approximated layers, simulating the classification accuracy of every
-configuration and recording the normalised MAC reduction.  The exploration is
-embarrassingly parallel over configurations; the paper used 6 CPU threads,
-and :func:`run_dse` exposes the same knob through ``n_workers``.
+configuration and recording the normalised MAC reduction.  The paper used 6
+CPU threads; :func:`run_dse` exposes the same knob through ``n_workers``.
+
+Every design is simulated by one prefix-sharing evaluator,
+:func:`evaluate_designs`.  Each design's masks are built up front and each
+layer is keyed by a digest of its mask (exact layers get an empty key).
+Sorted by their per-layer key tuples, the designs form a walk through a trie
+over the layers: a design re-runs only the layers from the first one whose
+key differs from the previous design's, reusing the int8 activations cached
+at every layer boundary.  Each 256-image evaluation chunk is walked on its
+own, so at most one activation per layer is alive.  The walk is sharded over
+a process pool by trie subtree, largest first, and every worker runs BLAS on
+its share of the cores (:func:`repro.utils.parallel.parallel_map`).
 """
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -22,6 +33,7 @@ from repro.core.skipping import Granularity, conv_mac_reduction
 from repro.core.unpacking import UnpackedLayer
 from repro.isa.profiles import BoardProfile
 from repro.quant.qmodel import QuantizedModel
+from repro.quant.schemes import dequantize
 from repro.registry import SEARCH_STRATEGIES
 from repro.utils.logging import get_logger
 from repro.utils.parallel import parallel_map
@@ -56,9 +68,9 @@ class DSEConfig:
         Optional hard cap on the number of explored configurations.
     n_workers:
         Worker processes for the accuracy simulations.  ``None`` (default)
-        uses :func:`repro.utils.parallel.default_workers` -- the exploration
-        is embarrassingly parallel, so it should saturate the machine unless
-        explicitly told otherwise; ``1`` forces the serial path.
+        uses :func:`repro.utils.parallel.default_workers` -- trie subtrees
+        are independent, so the exploration should saturate the machine
+        unless explicitly told otherwise; ``1`` forces the serial path.
     include_exact:
         Always include the exact design as a reference point.
     strategy:
@@ -108,6 +120,29 @@ class DesignPoint:
     retained_operand_fraction: float
     #: Board-level latency estimate; filled in by the latency-aware strategy.
     latency_ms: Optional[float] = None
+
+    @classmethod
+    def from_masks(
+        cls,
+        qmodel: QuantizedModel,
+        config: ApproxConfig,
+        masks: Dict[str, np.ndarray],
+        accuracy: float,
+    ) -> "DesignPoint":
+        """A design point of an evaluated configuration, its MAC fields taken from ``masks``."""
+        retained = (
+            float(np.mean([np.asarray(m, dtype=bool).mean() for m in masks.values()]))
+            if masks
+            else 1.0
+        )
+        return cls(
+            config=config,
+            accuracy=accuracy,
+            conv_mac_reduction=conv_mac_reduction(qmodel, masks),
+            total_macs=qmodel.total_macs(masks=masks),
+            conv_macs=qmodel.conv_macs(masks=masks),
+            retained_operand_fraction=retained,
+        )
 
     def as_dict(self) -> Dict[str, object]:
         """Plain-dict view."""
@@ -187,46 +222,128 @@ def _generate_layer_subsets(layer_names: Sequence[str], mode: str) -> List[Tuple
     raise ValueError(f"unknown layer_subsets mode {mode!r}")
 
 
-#: Per-worker invariant payload installed by :func:`_init_eval_worker` -- the
-#: model/significance/eval arrays are shipped once per worker instead of being
-#: re-pickled into every configuration's work item.
-_EVAL_STATE: dict = {}
+#: Images per forward of the evaluation walk, as in ``QuantizedModel.predict_classes``.
+EVAL_BATCH = 256
+
+#: A design in the walk: its index in the caller's list, per-layer mask keys
+#: and masks.
+_Design = Tuple[int, Tuple[bytes, ...], Dict[str, np.ndarray]]
 
 
-def _init_eval_worker(qmodel, significance, unpacked, images, labels) -> None:
+@dataclass
+class DesignEvaluation:
+    """Accuracies of a batch of designs and the layer forwards their walk ran."""
+
+    accuracies: List[float]
+    layer_forwards: int
+    #: Layer forwards a design-by-design evaluation would have run.
+    naive_layer_forwards: int
+
+
+def _mask_key(mask: np.ndarray) -> bytes:
+    """Digest identifying a layer's retention mask."""
+    mask = np.ascontiguousarray(mask, dtype=bool)
+    return hashlib.blake2b(repr(mask.shape).encode() + mask.tobytes(), digest_size=16).digest()
+
+
+#: Per-worker invariant payload installed by :func:`_init_walk_worker` -- the
+#: model and eval arrays are shipped once per worker instead of being
+#: re-pickled into every subtree's work item.
+_WALK_STATE: dict = {}
+
+
+def _init_walk_worker(qmodel: QuantizedModel, images: np.ndarray, labels: np.ndarray) -> None:
     """Process-pool initializer: stash the shared evaluation payload."""
-    _EVAL_STATE["payload"] = (qmodel, significance, unpacked, images, labels)
+    _WALK_STATE["payload"] = (qmodel, images, labels)
 
 
-def _evaluate_config(config: ApproxConfig) -> DesignPoint:
-    """Worker: simulate one approximate configuration against the shared payload."""
-    qmodel, significance, unpacked, images, labels = _EVAL_STATE["payload"]
-    return _evaluate_design((config, qmodel, significance, unpacked, images, labels))
+def _walk_designs(designs: List[_Design]) -> Tuple[List[Tuple[int, float]], int]:
+    """Worker: evaluate key-sorted designs, re-running only each one's differing suffix.
+
+    Follows ``QuantizedModel.evaluate_accuracy`` step for step (quantize the
+    chunk, run the layers, dequantize, argmax), so accuracies are
+    bit-identical.  Returns ``(index, accuracy)`` pairs and the number of
+    layer forwards run.
+    """
+    qmodel, images, labels = _WALK_STATE["payload"]
+    layers = qmodel.layers
+    n = int(images.shape[0])
+    correct = [0] * len(designs)
+    forwards = 0
+    for start in range(0, n, EVAL_BATCH):
+        stop = min(start + EVAL_BATCH, n)
+        # acts[i] is the input of layer i: one activation per layer boundary.
+        acts: List[np.ndarray] = [qmodel.quantize_input(images[start:stop])] + [None] * len(layers)
+        previous: Tuple[bytes, ...] = ()
+        hits = 0
+        for position, (_, keys, masks) in enumerate(designs):
+            first = next(
+                (i for i, (a, b) in enumerate(zip(keys, previous)) if a != b), len(previous)
+            )
+            if first < len(layers):
+                for i in range(first, len(layers)):
+                    acts[i + 1] = layers[i].forward(acts[i], weight_mask=masks.get(layers[i].name))
+                forwards += len(layers) - first
+                logits = dequantize(acts[-1], layers[-1].output_params)
+                hits = int((logits.argmax(axis=-1) == labels[start:stop]).sum())
+            correct[position] += hits
+            previous = keys
+    pairs = [(index, correct[p] / n if n else 0.0) for p, (index, _, _) in enumerate(designs)]
+    return pairs, forwards
 
 
-def _evaluate_design(
-    args: Tuple[ApproxConfig, QuantizedModel, SignificanceResult, Optional[Dict[str, UnpackedLayer]], np.ndarray, np.ndarray]
-) -> DesignPoint:
-    """Simulate one approximate configuration."""
-    config, qmodel, significance, unpacked, images, labels = args
-    masks = config.build_masks(significance, unpacked=unpacked)
-    accuracy = qmodel.evaluate_accuracy(images, labels, masks=masks)
-    reduction = conv_mac_reduction(qmodel, masks)
-    total_macs = qmodel.total_macs(masks=masks)
-    conv_macs = qmodel.conv_macs(masks=masks)
-    retained = (
-        float(np.mean([np.asarray(m, dtype=bool).mean() for m in masks.values()]))
-        if masks
-        else 1.0
+def _subtrees(designs: List[_Design]) -> List[List[_Design]]:
+    """Split key-sorted designs at the first layer where they diverge; largest subtree first."""
+    if not designs:
+        return []
+    n_layers = len(designs[0][1])
+    depth = next(
+        (i for i in range(n_layers) if any(d[1][i] != designs[0][1][i] for d in designs)), None
     )
-    return DesignPoint(
-        config=config,
-        accuracy=accuracy,
-        conv_mac_reduction=reduction,
-        total_macs=total_macs,
-        conv_macs=conv_macs,
-        retained_operand_fraction=retained,
+    if depth is None:
+        return [designs]
+    groups = [list(group) for _, group in itertools.groupby(designs, key=lambda d: d[1][depth])]
+    return sorted(groups, key=len, reverse=True)
+
+
+def evaluate_designs(
+    qmodel: QuantizedModel,
+    mask_sets: Sequence[Dict[str, np.ndarray]],
+    images: np.ndarray,
+    labels: np.ndarray,
+    n_workers: Optional[int] = 1,
+) -> DesignEvaluation:
+    """Top-1 accuracy of every mask set (``{}`` is the exact design), sharing layer prefixes.
+
+    Each accuracy equals ``qmodel.evaluate_accuracy(images, labels, masks=m)``
+    bit for bit.  ``n_workers`` follows :func:`parallel_map`; the work is
+    sharded by trie subtree.
+    """
+    images = np.asarray(images)
+    labels = np.asarray(labels)
+    names = [layer.name for layer in qmodel.layers]
+    designs: List[_Design] = [
+        (index, tuple(_mask_key(masks[name]) if name in masks else b"" for name in names), masks)
+        for index, masks in enumerate(mask_sets)
+    ]
+    designs.sort(key=lambda d: d[1])
+    results = parallel_map(
+        _walk_designs,
+        _subtrees(designs),
+        n_workers=n_workers,
+        chunksize=1,
+        min_items_for_pool=4,
+        initializer=_init_walk_worker,
+        initargs=(qmodel, images, labels),
     )
+    accuracies = [0.0] * len(designs)
+    forwards = 0
+    for pairs, walked in results:
+        forwards += walked
+        for index, accuracy in pairs:
+            accuracies[index] = accuracy
+    n_chunks = -(-int(images.shape[0]) // EVAL_BATCH)
+    return DesignEvaluation(accuracies, forwards, len(designs) * len(names) * n_chunks)
 
 
 def run_dse(
@@ -328,29 +445,27 @@ def exhaustive_sweep(
         eval_images.shape[0],
     )
 
-    baseline_accuracy = qmodel.evaluate_accuracy(eval_images, eval_labels)
-    points = parallel_map(
-        _evaluate_config,
-        configs,
-        n_workers=dse_config.n_workers,
-        min_items_for_pool=4,
-        initializer=_init_eval_worker,
-        initargs=(qmodel, significance, unpacked, eval_images, eval_labels),
+    mask_sets = [config.build_masks(significance, unpacked=unpacked) for config in configs]
+    evaluation = evaluate_designs(
+        qmodel, [{}] + mask_sets, eval_images, eval_labels, n_workers=dse_config.n_workers
     )
-
+    logger.info(
+        "DSE on %s: %d layer forwards executed, %d without prefix sharing",
+        qmodel.name,
+        evaluation.layer_forwards,
+        evaluation.naive_layer_forwards,
+    )
+    baseline_accuracy, *accuracies = evaluation.accuracies
+    points = [
+        DesignPoint.from_masks(qmodel, config, masks, accuracy)
+        for config, masks, accuracy in zip(configs, mask_sets, accuracies)
+    ]
     if dse_config.include_exact:
-        exact = DesignPoint(
-            config=ApproxConfig.exact(qmodel.name),
-            accuracy=baseline_accuracy,
-            conv_mac_reduction=0.0,
-            total_macs=qmodel.total_macs(),
-            conv_macs=qmodel.conv_macs(),
-            retained_operand_fraction=1.0,
-        )
-        points = [exact] + list(points)
+        exact = DesignPoint.from_masks(qmodel, ApproxConfig.exact(qmodel.name), {}, baseline_accuracy)
+        points = [exact] + points
 
     return DSEResult(
-        points=list(points),
+        points=points,
         baseline_accuracy=baseline_accuracy,
         baseline_total_macs=qmodel.total_macs(),
         baseline_conv_macs=qmodel.conv_macs(),

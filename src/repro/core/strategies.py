@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.core.config import ApproxConfig, LayerApproxSpec
-from repro.core.dse import DSEConfig, DSEResult, DesignPoint, exhaustive_sweep
+from repro.core.dse import DSEConfig, DSEResult, DesignPoint, evaluate_designs, exhaustive_sweep
 from repro.core.significance import SignificanceResult
 from repro.core.skipping import build_model_masks, conv_mac_reduction
 from repro.core.unpacking import UnpackedLayer
@@ -126,28 +126,29 @@ def greedy_per_layer_search(
     def taus_from_levels(levels: Dict[str, int]) -> Dict[str, float]:
         return {name: ladder[idx] for name, idx in levels.items() if idx >= 0}
 
-    def evaluate(levels: Dict[str, int]):
-        taus = taus_from_levels(levels)
-        if not taus:
-            return baseline_accuracy, 0.0
-        masks = build_model_masks(significance, taus, granularity=granularity, unpacked=unpacked)
-        accuracy = qmodel.evaluate_accuracy(eval_images, eval_labels, masks=masks)
-        return accuracy, conv_mac_reduction(qmodel, masks)
-
     current_accuracy, current_reduction = baseline_accuracy, 0.0
     steps: List[GreedyStep] = []
 
     for _ in range(max_steps):
-        best_move = None
+        # Every one-layer move of this iteration goes to the prefix-sharing
+        # evaluator in one call; moves on later layers share the earlier ones.
+        trials = []
         for name in names:
             next_level = current_levels[name] + 1
             if next_level >= len(ladder):
                 continue
             trial_levels = dict(current_levels)
             trial_levels[name] = next_level
-            accuracy, reduction = evaluate(trial_levels)
+            masks = build_model_masks(
+                significance, taus_from_levels(trial_levels), granularity=granularity, unpacked=unpacked
+            )
+            trials.append((name, next_level, masks))
+        evaluation = evaluate_designs(qmodel, [masks for _, _, masks in trials], eval_images, eval_labels)
+        best_move = None
+        for (name, next_level, masks), accuracy in zip(trials, evaluation.accuracies):
             if accuracy < floor:
                 continue
+            reduction = conv_mac_reduction(qmodel, masks)
             gain = reduction - current_reduction
             loss = max(current_accuracy - accuracy, 0.0)
             score = gain / (loss + 1e-6)
@@ -329,8 +330,8 @@ class GreedyPerLayerSearch(SearchStrategy):
         # point, so Pareto/selection consumers see the whole greedy trajectory.
         points: List[DesignPoint] = []
         if dse_config.include_exact:
-            points.append(_design_point(qmodel, significance, ApproxConfig.exact(qmodel.name),
-                                        greedy.baseline_accuracy, unpacked))
+            points.append(DesignPoint.from_masks(qmodel, ApproxConfig.exact(qmodel.name), {},
+                                                 greedy.baseline_accuracy))
         levels: Dict[str, float] = {}
         for step in greedy.steps:
             levels[step.layer] = step.tau
@@ -346,7 +347,8 @@ class GreedyPerLayerSearch(SearchStrategy):
                 },
                 label=f"{qmodel.name}:greedy:step{len(points)}",
             )
-            points.append(_design_point(qmodel, significance, config, step.accuracy, unpacked))
+            masks = config.build_masks(significance, unpacked=unpacked)
+            points.append(DesignPoint.from_masks(qmodel, config, masks, step.accuracy))
         return DSEResult(
             points=points,
             baseline_accuracy=greedy.baseline_accuracy,
@@ -398,27 +400,3 @@ class LatencyAwareSearch(SearchStrategy):
             baseline_conv_macs=sweep.baseline_conv_macs,
             config=sweep.config,
         )
-
-
-def _design_point(
-    qmodel: QuantizedModel,
-    significance: SignificanceResult,
-    config: ApproxConfig,
-    accuracy: float,
-    unpacked: Optional[Dict[str, UnpackedLayer]] = None,
-) -> DesignPoint:
-    """Build a :class:`DesignPoint` for an already-evaluated configuration."""
-    masks = config.build_masks(significance, unpacked=unpacked) if not config.is_exact else {}
-    retained = (
-        float(np.mean([np.asarray(m, dtype=bool).mean() for m in masks.values()]))
-        if masks
-        else 1.0
-    )
-    return DesignPoint(
-        config=config,
-        accuracy=accuracy,
-        conv_mac_reduction=conv_mac_reduction(qmodel, masks) if masks else 0.0,
-        total_macs=qmodel.total_macs(masks=masks or None),
-        conv_macs=qmodel.conv_macs(masks=masks or None),
-        retained_operand_fraction=retained,
-    )

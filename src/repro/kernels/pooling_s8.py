@@ -23,10 +23,17 @@ def max_pool_s8(
         raise TypeError("max_pool_s8 expects int8 input")
     n, in_h, in_w, c = x.shape
     kh, kw = kernel
+    sh, sw = stride
     out_h, out_w = F.conv_output_shape(in_h, in_w, kernel, stride, (0, 0))
-    cols = F.im2col(x.astype(np.int32), kernel, stride, (0, 0), pad_value=-128)
-    cols = cols.reshape(n, out_h, out_w, kh * kw, c)
-    out = cols.max(axis=3).astype(np.int8)
+    # Running maximum over the kh*kw strided int8 views of the window taps.
+    out = None
+    for i in range(kh):
+        for j in range(kw):
+            tap = x[:, i : i + sh * (out_h - 1) + 1 : sh, j : j + sw * (out_w - 1) + 1 : sw, :]
+            if out is None:
+                out = tap.copy()
+            else:
+                np.maximum(out, tap, out=out)
 
     if counter is not None:
         counter.record(

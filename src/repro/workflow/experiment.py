@@ -22,6 +22,7 @@ Typical use::
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
@@ -55,6 +56,8 @@ class StageExecution:
     stage: str
     signature: str
     cached: bool
+    #: Wall time of the stage, cache lookup included (~0 on a cache hit).
+    duration_s: float = 0.0
 
 
 @dataclass
@@ -262,6 +265,7 @@ class Experiment:
         miss = object()
         for stage in self.ordered_stages():
             signature = stage.signature(digests)
+            started = time.perf_counter()
             cached_outputs = self.store.get(signature, miss)
             if cached_outputs is not miss:
                 outputs = cached_outputs
@@ -285,6 +289,13 @@ class Experiment:
             # of re-hashing (potentially large) output artifacts.
             for artifact in stage.provides:
                 digests[artifact] = fingerprint((signature, artifact))
-            executions.append(StageExecution(stage=stage.name, signature=signature, cached=cached))
+            executions.append(
+                StageExecution(
+                    stage=stage.name,
+                    signature=signature,
+                    cached=cached,
+                    duration_s=time.perf_counter() - started,
+                )
+            )
 
         return ExperimentResult(artifacts=artifacts, executions=executions)

@@ -18,6 +18,11 @@ from repro.nn import Adam, Trainer
 from repro.quant import quantize_model
 
 
+def pytest_configure(config):
+    """Register the suite's custom markers."""
+    config.addinivalue_line("markers", "slow: a slower end-to-end test")
+
+
 @pytest.fixture(scope="session")
 def rng():
     """A deterministic NumPy generator for ad-hoc random data."""

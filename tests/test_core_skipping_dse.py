@@ -19,7 +19,7 @@ from repro.core import (
     run_dse,
     select_by_accuracy_loss,
 )
-from repro.core.dse import _generate_layer_subsets
+from repro.core.dse import DesignPoint, _generate_layer_subsets, _mask_key, _subtrees, evaluate_designs
 from repro.core.pareto import is_pareto_optimal
 from repro.core.skipping import conv_mac_reduction
 
@@ -295,3 +295,123 @@ class TestDSE:
         for a, b in zip(serial.points, parallel.points):
             assert a.accuracy == pytest.approx(b.accuracy)
             assert a.conv_mac_reduction == pytest.approx(b.conv_mac_reduction)
+
+
+def _naive_dse_points(qmodel, significance, unpacked, images, labels, configs):
+    """Reference: one full ``evaluate_accuracy`` forward per design, MAC fields from its masks."""
+    points = []
+    for config in configs:
+        masks = config.build_masks(significance, unpacked=unpacked)
+        retained = float(np.mean([m.mean() for m in masks.values()])) if masks else 1.0
+        points.append(
+            DesignPoint(
+                config=config,
+                accuracy=qmodel.evaluate_accuracy(images, labels, masks=masks),
+                conv_mac_reduction=conv_mac_reduction(qmodel, masks),
+                total_macs=qmodel.total_macs(masks=masks),
+                conv_macs=qmodel.conv_macs(masks=masks),
+                retained_operand_fraction=retained,
+            )
+        )
+    return points
+
+
+class TestPrefixSharingEvaluator:
+    """The trie-order evaluator against a per-design reference, field for field."""
+
+    #: 1000 and 2000 both skip every operand of the tiny CNN: identical masks.
+    TAUS = [0.0, 0.05, 0.2, 1.0, 1000.0, 2000.0]
+
+    @pytest.fixture(scope="class")
+    def eval_set(self, small_split):
+        # 300 images: a full 256-image chunk plus a ragged 44-image tail.
+        images, labels = small_split.train.images[:300], small_split.train.labels[:300]
+        assert images.shape[0] == 300
+        return images, labels
+
+    def test_equal_taus_give_identical_masks(self, tiny_significance):
+        loose = build_model_masks(tiny_significance, {n: 1000.0 for n in tiny_significance.layer_names()})
+        looser = build_model_masks(tiny_significance, {n: 2000.0 for n in tiny_significance.layer_names()})
+        assert all(np.array_equal(loose[n], looser[n]) for n in loose)
+
+    @pytest.mark.parametrize(
+        "layer_subsets, granularity",
+        [
+            ("all", "operand"),
+            ("per_layer", "operand"),
+            ("exhaustive", "operand"),
+            ("per_layer", "input_channel"),
+        ],
+    )
+    def test_design_points_match_per_design_reference(
+        self, tiny_qmodel, tiny_significance, tiny_unpacked, eval_set, layer_subsets, granularity
+    ):
+        images, labels = eval_set
+        results = {
+            n_workers: run_dse(
+                tiny_qmodel, tiny_significance, images, labels,
+                dse_config=DSEConfig(
+                    tau_values=self.TAUS, layer_subsets=layer_subsets,
+                    granularity=granularity, n_workers=n_workers,
+                ),
+                unpacked=tiny_unpacked,
+            )
+            for n_workers in (1, 2)
+        }
+        reference = _naive_dse_points(
+            tiny_qmodel, tiny_significance, tiny_unpacked, images, labels,
+            [p.config for p in results[1].points],
+        )
+        baseline = tiny_qmodel.evaluate_accuracy(images, labels)
+        for result in results.values():
+            assert result.points[0].config.is_exact
+            assert result.baseline_accuracy == baseline
+            assert result.points == reference
+
+    def test_exhaustive_sweep_shares_prefixes(self, tiny_qmodel, tiny_significance, eval_set):
+        images, labels = eval_set
+        names = tiny_significance.layer_names()
+        mask_sets = [{}] + [
+            build_model_masks(tiny_significance, {name: tau for name in subset})
+            for subset in _generate_layer_subsets(names, "exhaustive")
+            for tau in self.TAUS[1:]
+        ]
+        evaluation = evaluate_designs(tiny_qmodel, mask_sets, images, labels)
+        n_layers, n_chunks = len(tiny_qmodel.layers), 2
+        assert evaluation.naive_layer_forwards == len(mask_sets) * n_layers * n_chunks
+        assert evaluation.layer_forwards < evaluation.naive_layer_forwards
+        expected = [tiny_qmodel.evaluate_accuracy(images, labels, masks=m) for m in mask_sets]
+        assert evaluation.accuracies == expected
+
+    def test_identical_designs_run_once(self, tiny_qmodel, eval_set):
+        images, labels = eval_set
+        evaluation = evaluate_designs(tiny_qmodel, [{}, {}, {}], images, labels)
+        assert evaluation.layer_forwards == len(tiny_qmodel.layers) * 2
+        assert evaluation.accuracies == [tiny_qmodel.evaluate_accuracy(images, labels)] * 3
+
+    def test_empty_eval_set_scores_zero(self, tiny_qmodel, eval_set):
+        images, labels = eval_set
+        evaluation = evaluate_designs(tiny_qmodel, [{}], images[:0], labels[:0])
+        assert evaluation.accuracies == [0.0]
+        assert evaluation.layer_forwards == 0
+
+    def test_subtrees_partition_designs_largest_first(self, tiny_significance):
+        names = ["conv1", "pool1", "conv2"]
+        mask_sets = [{}] + [
+            build_model_masks(tiny_significance, {name: tau for name in subset})
+            for subset in _generate_layer_subsets(["conv1", "conv2"], "exhaustive")
+            for tau in (0.05, 0.2)
+        ]
+        designs = sorted(
+            (
+                (i, tuple(_mask_key(m[n]) if n in m else b"" for n in names), m)
+                for i, m in enumerate(mask_sets)
+            ),
+            key=lambda d: d[1],
+        )
+        groups = _subtrees(designs)
+        assert sorted(d[0] for g in groups for d in g) == list(range(len(mask_sets)))
+        assert [len(g) for g in groups] == sorted((len(g) for g in groups), reverse=True)
+        # conv1 is where the designs diverge: one subtree per distinct conv1 mask.
+        assert len(groups) == len({d[1][0] for d in designs})
+        assert all(len({d[1][0] for d in g}) == 1 for g in groups)

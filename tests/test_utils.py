@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import logging
+import os
 
 import numpy as np
 import pytest
@@ -25,6 +26,7 @@ from repro.utils import (
     set_verbosity,
     spawn_rngs,
 )
+from repro.utils.parallel import blas_threads
 from repro.utils.rng import deterministic_hash, permutation_batches
 
 
@@ -148,6 +150,10 @@ def _square(x):
     return x * x
 
 
+def _worker_blas_threads(_):
+    return blas_threads()
+
+
 class TestParallel:
     def test_serial_path(self):
         assert parallel_map(_square, [1, 2, 3], n_workers=1) == [1, 4, 9]
@@ -162,6 +168,15 @@ class TestParallel:
 
     def test_generator_input(self):
         assert parallel_map(_square, (x for x in range(5)), n_workers=1) == [0, 1, 4, 9, 16]
+
+    def test_pooled_workers_cap_blas_threads(self):
+        parent = blas_threads()
+        if parent is None:
+            pytest.skip("NumPy's BLAS exposes no thread-count control")
+        n_workers = 2
+        reported = parallel_map(_worker_blas_threads, range(4), n_workers=n_workers, min_items_for_pool=2)
+        assert reported == [min(parent, max(1, (os.cpu_count() or 1) // n_workers))] * 4
+        assert blas_threads() == parent
 
 
 class TestLogging:
