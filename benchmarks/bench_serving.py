@@ -1,4 +1,4 @@
-"""Serving benchmarks: batching, fronts, priorities, throughput, ramp.
+"""Serving benchmarks: batching, HTTP front, priorities, throughput, ramp.
 
 Five questions:
 
@@ -6,15 +6,12 @@ Five questions:
   serving every request as its own forward pass (batch size 1)?
 * what does the stack sustain end-to-end (queue -> policy -> batched int8
   forward -> completion) under a steady concurrent load?
-* does the asyncio front sustain at least the threaded front's throughput
-  at 64 concurrent HTTP connections (the per-connection-overhead claim)?
+* what does the HTTP front sustain at 64 concurrent connections, each
+  request on its own connection?
 * does interactive-class traffic hold a lower p95 than batch-class traffic
   under a mixed-priority burst (the priority-scheduling claim)?
 * does the adaptive policy actually move along the Pareto front under a load
   ramp, and what does that save in simulated MCU cycles?
-
-Plus the hot-path satellite: the im2col scratch-buffer reuse inside
-``QuantizedModel.predict_classes``, measured off vs on.
 
 Headline numbers land in ``benchmarks/results/serving.json`` for the CI
 perf-regression gate (``benchmarks/check_regression.py``).
@@ -29,7 +26,6 @@ import numpy as np
 import pytest
 
 from repro.serving import (
-    AsyncPredictionServer,
     Client,
     Deployment,
     Fleet,
@@ -40,7 +36,6 @@ from repro.serving import (
     ReplicaConfig,
     Scheduler,
 )
-from repro.quant.qlayers import set_im2col_scratch
 
 from bench_utils import record_json, record_result
 from repro.evaluation.reports import format_table
@@ -301,9 +296,7 @@ def _http_burst_rps(server_url: str, images: np.ndarray, n_requests: int,
     """Requests/second of an HTTP front under ``concurrency`` open-loop clients.
 
     Every request is its own connection (urllib does not keep-alive), so the
-    measurement includes exactly the per-connection cost the two fronts
-    differ on: accept + thread spawn for the threaded front, accept + loop
-    callback for the asyncio one.
+    measurement includes the per-connection cost: accept + a handler thread.
     """
     client = HTTPClient(server_url, timeout_s=600.0)
 
@@ -319,15 +312,13 @@ def _http_burst_rps(server_url: str, images: np.ndarray, n_requests: int,
         return n_requests / (time.perf_counter() - started)
 
 
-def test_bench_front_comparison(tiny_artifacts):
-    """Threaded vs asyncio front at 64 concurrent connections.
+def test_bench_thread_front_throughput(tiny_artifacts):
+    """The threaded front at 64 concurrent connections.
 
-    The handler work per request is identical (enqueue + block on the
-    scheduler), so any throughput difference is pure front overhead: the
-    threaded server pays an OS thread per connection, the asyncio server a
-    task on one loop.  The tiny CNN keeps the model cost small so the
-    per-connection share of the round trip is as visible as this container
-    allows.  Interleaved best-of-3 per front, like every serving benchmark.
+    The handler work per request is enqueue + block on the scheduler, and
+    the tiny CNN keeps the model cost small, so the per-connection share of
+    the round trip is as visible as this container allows.  Best of 3, like
+    every serving benchmark.
     """
     tiny = tiny_artifacts
     points = [{"label": "exact", "taus": {}, "accuracy": 1.0}]
@@ -337,35 +328,20 @@ def test_bench_front_comparison(tiny_artifacts):
     images = tiny["split"].test.images
     n_requests, concurrency = 192, 64
 
-    fronts = {"thread": PredictionServer, "asyncio": AsyncPredictionServer}
-    best = {name: 0.0 for name in fronts}
+    best = 0.0
     for _ in range(3):
-        for name, front_cls in fronts.items():
-            with Scheduler(deployment, policy="fixed", max_batch_size=64, max_wait_ms=5.0) as sched:
-                with front_cls(sched) as server:
-                    rps = _http_burst_rps(server.url, images, n_requests, concurrency)
-                    best[name] = max(best[name], rps)
+        with Scheduler(deployment, policy="fixed", max_batch_size=64, max_wait_ms=5.0) as sched:
+            with PredictionServer(sched) as server:
+                best = max(best, _http_burst_rps(server.url, images, n_requests, concurrency))
 
-    ratio = best["asyncio"] / best["thread"]
-    rows = [
-        {"front": "thread (1 thread/conn)", "req/s": best["thread"], "vs thread": 1.0},
-        {"front": "asyncio (event loop)", "req/s": best["asyncio"], "vs thread": ratio},
-    ]
     record_result(
-        "serving_front_comparison",
-        format_table(rows, title=f"HTTP fronts at {concurrency} concurrent connections (tiny CNN)"),
+        "serving_front_throughput",
+        format_table(
+            [{"front": "thread (1 thread/conn)", "req/s": best}],
+            title=f"HTTP front at {concurrency} concurrent connections (tiny CNN)",
+        ),
     )
-    record_json(
-        "serving",
-        {
-            "thread_front_rps": best["thread"],
-            "asyncio_front_rps": best["asyncio"],
-            "asyncio_vs_thread": ratio,
-        },
-    )
-    # The asyncio front must sustain at least the threaded front's
-    # throughput (small tolerance for container noise on the best-of-3).
-    assert ratio >= 0.95, f"asyncio front slower than threaded: {ratio:.2f}x"
+    record_json("serving", {"thread_front_rps": best})
 
 
 def test_bench_router_overhead(tiny_artifacts):
@@ -478,64 +454,6 @@ def test_bench_mixed_priority_burst(lenet_serving):
     assert stats["interactive"]["completed"] == n_interactive
     assert interactive_p95 < batch_p95, (
         f"interactive p95 {interactive_p95:.1f} ms not below batch p95 {batch_p95:.1f} ms"
-    )
-
-
-def test_bench_predict_classes_scratch_reuse(lenet_serving):
-    """im2col buffer strategy on the batch hot path: allocator vs dedicated scratch.
-
-    Records both modes of :func:`repro.quant.qlayers.set_im2col_scratch`.
-    The measured outcome on this container is the *reason the default is
-    off*: NumPy's caching allocator already recycles one layer's just-freed
-    patch buffer into the next layer's allocations, and pinning a dedicated
-    buffer per layer fragments that recycling (slightly slower once the
-    working set outgrows the cache).  No assertion on the ratio -- the table
-    documents the trade on whatever host runs the suite.
-    """
-    qmodel = lenet_serving["qmodel"]
-    images = lenet_serving["images"]
-    xs = images[np.arange(512) % len(images)]
-
-    def measure():
-        qmodel.predict_classes(xs[:64], batch_size=64)  # warm-up / allocate
-        started = time.perf_counter()
-        predictions = qmodel.predict_classes(xs, batch_size=64)
-        return time.perf_counter() - started, predictions
-
-    # Interleaved best-of-3 per mode: robust against noisy-neighbour minutes.
-    seconds_default = seconds_scratch = float("inf")
-    predictions_default = predictions_scratch = None
-    for _ in range(3):
-        elapsed, predictions_default = measure()
-        seconds_default = min(seconds_default, elapsed)
-        previous = set_im2col_scratch(True)
-        try:
-            elapsed, predictions_scratch = measure()
-            seconds_scratch = min(seconds_scratch, elapsed)
-        finally:
-            set_im2col_scratch(previous)
-    np.testing.assert_array_equal(predictions_default, predictions_scratch)
-
-    rows = [
-        {
-            "im2col buffers": "allocator recycling (default)",
-            "wall (s)": seconds_default,
-            "images/s": len(xs) / seconds_default,
-        },
-        {
-            "im2col buffers": "dedicated per-layer scratch",
-            "wall (s)": seconds_scratch,
-            "images/s": len(xs) / seconds_scratch,
-        },
-        {
-            "im2col buffers": "scratch/default ratio",
-            "wall (s)": "",
-            "images/s": seconds_default / seconds_scratch,
-        },
-    ]
-    record_result(
-        "predict_classes_scratch",
-        format_table(rows, title="predict_classes: im2col buffer strategy (LeNet, batch 64)"),
     )
 
 

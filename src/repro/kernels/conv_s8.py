@@ -42,7 +42,6 @@ def convolve_s8(
     weight_mask: Optional[np.ndarray] = None,
     counter: Optional[CycleCounter] = None,
     section: str = "conv",
-    cols_out: Optional[np.ndarray] = None,
 ) -> np.ndarray:
     """Quantized 2-D convolution.
 
@@ -69,10 +68,6 @@ def convolve_s8(
         Optional boolean ``(Cout, kh*kw*Cin)`` retention mask.
     counter, section:
         Optional operation counter and section name.
-    cols_out:
-        Optional preallocated im2col destination (see
-        :func:`~repro.kernels.im2col.im2col_s8`); lets repeated same-shaped
-        calls reuse one scratch buffer.
 
     Returns
     -------
@@ -104,9 +99,7 @@ def convolve_s8(
     # repro.kernels.accumulate), so the patches are widened straight to that
     # dtype -- no intermediate int32 patch matrix, no post-matmul conversion.
     compute_dtype = exact_matmul_dtype(k)
-    cols = im2col_s8(
-        x, (kh, kw), stride, padding, input_zero_point, out=cols_out, dtype=compute_dtype
-    )
+    cols = im2col_s8(x, (kh, kw), stride, padding, input_zero_point, dtype=compute_dtype)
     cols_flat = cols.reshape(n * out_h * out_w, k)
 
     # acc[p, c] = sum_i w[c, i] * (x[p, i] - in_zp)

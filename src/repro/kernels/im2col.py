@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -15,7 +15,6 @@ def im2col_s8(
     stride: Tuple[int, int],
     padding: Tuple[int, int],
     input_zero_point: int,
-    out: Optional[np.ndarray] = None,
     dtype: np.dtype = np.int32,
 ) -> np.ndarray:
     """Extract int8 convolution patches, padding with the input zero point.
@@ -35,13 +34,6 @@ def im2col_s8(
 
     Parameters
     ----------
-    out:
-        Optional preallocated destination: a C-contiguous array of the result
-        shape and ``dtype``.  When it matches, patches are written in place
-        and ``out`` is returned -- callers running many same-shaped batches
-        (the serving hot path) reuse one scratch buffer instead of allocating
-        per batch.  A mismatched ``out`` is ignored and a fresh array
-        returned.
     dtype:
         Destination dtype of the widened patch values.
     """
@@ -69,10 +61,7 @@ def im2col_s8(
     )
     dtype = np.dtype(dtype)
     shape = (n, out_h, out_w, kh * kw * in_c)
-    if out is not None and out.shape == shape and out.dtype == dtype and out.flags["C_CONTIGUOUS"]:
-        cols = out
-    else:
-        cols = np.empty(shape, dtype=dtype)
+    cols = np.empty(shape, dtype=dtype)
     # One gather+widen pass: int8 windows -> widened patch matrix.
     np.copyto(cols.reshape(n, out_h, out_w, kh, kw, in_c), windows, casting="unsafe")
     return cols

@@ -113,7 +113,7 @@ class Span:
 
 
 class Tracer:
-    """Bounded in-memory span ring shared by the fronts and the scheduler.
+    """Bounded in-memory span ring shared by the HTTP front and the scheduler.
 
     Parameters
     ----------

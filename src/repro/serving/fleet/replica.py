@@ -40,11 +40,9 @@ class ReplicaConfig:
     """Scheduler/front configuration applied to every replica uniformly."""
 
     policy: Any = "queue-depth"
-    front: str = "thread"
     max_batch_size: int = 32
     max_wait_ms: float = 5.0
     starvation_ms: Optional[float] = 2000.0
-    n_workers: int = 1
     profile_every: int = 0
     trace_capacity: int = 4096
     event_capacity: int = 512
@@ -72,9 +70,8 @@ def _resolve_policy(config: ReplicaConfig):
 def _replica_main(index: int, deployment: Any, config: ReplicaConfig, conn) -> None:
     """Child-process entry point: serve until told (or signalled) to stop."""
     from repro.obs import MetricsRegistry, Observability
-    from repro.registry import FRONTS
-    from repro.serving import async_server, server  # noqa: F401 - register fronts
     from repro.serving.scheduler import Scheduler
+    from repro.serving.server import PredictionServer
     from repro.serving.tenancy import TenantTable
 
     registry = MetricsRegistry(const_labels={"replica": str(index)})
@@ -90,14 +87,12 @@ def _replica_main(index: int, deployment: Any, config: ReplicaConfig, conn) -> N
         policy=_resolve_policy(config),
         max_batch_size=config.max_batch_size,
         max_wait_ms=config.max_wait_ms,
-        n_workers=config.n_workers,
         starvation_ms=config.starvation_ms,
         obs=obs,
         tenants=tenants,
     )
     scheduler.start()
-    front_cls = FRONTS.resolve(config.front)
-    front = front_cls(
+    front = PredictionServer(
         scheduler, host=config.host, port=0, request_timeout_s=config.request_timeout_s
     )
     front.start()

@@ -30,7 +30,6 @@ import http.client
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
@@ -38,7 +37,7 @@ from repro.obs import MetricsRegistry, Observability, new_trace_id
 from repro.obs.exposition import federate_families, parse_prometheus, render_families
 from repro.obs.metrics import LATENCY_BUCKETS_MS
 from repro.serving.fleet.federation import merge_events, merge_spans, rollup_snapshots
-from repro.serving.server import MAX_BODY_BYTES, _BacklogThreadingHTTPServer, sanitize_trace_id
+from repro.serving.server import _BacklogThreadingHTTPServer, _query_int, make_handler
 from repro.utils.logging import get_logger
 
 logger = get_logger("serving.fleet.router")
@@ -125,8 +124,9 @@ class FleetRouter:
             self._g_up.set(1, target=state.name)
 
         self._local = threading.local()  # per-handler-thread keep-alive links
-        handler = _make_router_handler(self)
-        self._httpd = _BacklogThreadingHTTPServer((host, port), handler)
+        # The replicas' handler class, minus the tracer: the router records
+        # only its ``route`` span per hop, never a ``respond`` span.
+        self._httpd = _BacklogThreadingHTTPServer((host, port), make_handler(self))
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
         self._health_stop = threading.Event()
@@ -270,17 +270,22 @@ class FleetRouter:
                 return response.status, data, content_type
             except (http.client.HTTPException, OSError):
                 # A parked keep-alive link goes stale when the replica closes
-                # it between bursts: reconnect once before declaring failure.
+                # it between bursts (idle past the replica's READ_TIMEOUT_S):
+                # reconnect once before declaring failure.
                 link.close()
                 if attempt:
                     raise
         raise RuntimeError("unreachable")  # pragma: no cover
 
     def handle_predict(
-        self, body: bytes, incoming_trace_id: Optional[str]
+        self, body: bytes, trace_id: Optional[str] = None
     ) -> Tuple[int, Union[bytes, Dict[str, Any]], Dict[str, str]]:
-        """Route one ``POST /predict`` body; returns (status, payload, headers)."""
-        trace_id = incoming_trace_id or new_trace_id()
+        """Route one raw ``POST /predict`` body; returns (status, payload, headers).
+
+        ``trace_id`` is the client's (sanitised) ``X-Trace-Id``; a fresh one
+        is minted when it is ``None``.
+        """
+        trace_id = trace_id or new_trace_id()
         response_headers = {"X-Trace-Id": trace_id}
         with self._lock:
             draining = self._draining
@@ -475,71 +480,3 @@ class FleetRouter:
         if route == "/replicas":
             return 200, self.health()["replicas"]
         return 404, {"error": f"unknown path {path!r}"}
-
-
-def _query_int(query: Dict[str, List[str]], name: str) -> Optional[int]:
-    values = query.get(name)
-    if not values:
-        return None
-    try:
-        return int(values[0])
-    except ValueError:
-        return None
-
-
-def _make_router_handler(router: FleetRouter):
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-            logger.debug("%s -- %s", self.address_string(), format % args)
-
-        def _respond(
-            self,
-            status: int,
-            payload: Union[bytes, Dict[str, Any], str],
-            headers: Optional[Dict[str, str]] = None,
-        ) -> None:
-            headers = dict(headers or {})
-            if isinstance(payload, bytes):
-                body = payload
-                content_type = headers.pop("Content-Type", "application/json")
-            elif isinstance(payload, str):
-                body = payload.encode("utf-8")
-                content_type = "text/plain; charset=utf-8"
-            else:
-                body = json.dumps(payload).encode("utf-8")
-                content_type = "application/json"
-            self.send_response(status)
-            self.send_header("Content-Type", content_type)
-            self.send_header("Content-Length", str(len(body)))
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.end_headers()
-            self.wfile.write(body)
-
-        def do_GET(self) -> None:  # noqa: N802 - stdlib naming
-            status, payload = router.handle_get(self.path)
-            self._respond(status, payload)
-
-        def do_POST(self) -> None:  # noqa: N802 - stdlib naming
-            try:
-                length = int(self.headers.get("Content-Length", 0))
-            except ValueError:
-                self.close_connection = True
-                self._respond(400, {"error": "malformed Content-Length header"})
-                return
-            if length <= 0 or length > MAX_BODY_BYTES:
-                self.close_connection = True
-                self._respond(400, {"error": "missing or oversized request body"})
-                return
-            raw = self.rfile.read(length)
-            if self.path != "/predict":
-                self._respond(404, {"error": f"unknown path {self.path!r}"})
-                return
-            status, payload, headers = router.handle_predict(
-                raw, sanitize_trace_id(self.headers.get("X-Trace-Id"))
-            )
-            self._respond(status, payload, headers)
-
-    return Handler

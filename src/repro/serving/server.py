@@ -6,13 +6,11 @@ concurrent HTTP clients are exactly what feeds the scheduler's coalescing
 window -- more simultaneous callers means bigger batches, not more model
 invocations.  No dependencies beyond ``http.server`` and ``json``.
 
-The endpoint logic (payload validation, response shapes, error mapping) is
-shared with the asyncio front
-(:class:`~repro.serving.async_server.AsyncPredictionServer`) through the
-module-level helpers below -- the two fronts differ only in how they wait
-for request completion (blocking on the event vs awaiting a loop future).
-Fronts are pluggable through :data:`repro.registry.FRONTS`; this one is
-registered as ``"thread"``.
+:func:`make_handler` builds the request handler of both this server and the
+fleet router (:class:`~repro.serving.fleet.router.FleetRouter`): one place
+checks ``Content-Length``, reads the body before routing, bounds every
+socket read by :data:`READ_TIMEOUT_S`, sanitises ``X-Trace-Id`` and writes
+the response.
 
 Endpoints::
 
@@ -47,13 +45,12 @@ import re
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, NamedTuple, Optional, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 import numpy as np
 
-from repro.obs.tracing import new_trace_id
-from repro.registry import FRONTS
+from repro.obs.tracing import Tracer, new_trace_id
 from repro.serving.request import DEFAULT_PRIORITY, PRIORITIES, Request, RequestTimedOut
 from repro.serving.scheduler import Scheduler, UnknownModel
 from repro.serving.tenancy import TenantQuotaExceeded, UnknownTenant
@@ -63,6 +60,11 @@ logger = get_logger("serving.server")
 
 #: Refuse request bodies beyond this size (64 MiB of JSON is already absurd).
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Seconds a handler waits on any one socket read -- request line, headers or
+#: body -- before dropping the connection, so a client that stalls mid-body
+#: (or parks an idle keep-alive connection) cannot pin a handler thread.
+READ_TIMEOUT_S = 10.0
 
 _TRACE_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,128}$")
 
@@ -80,116 +82,105 @@ def sanitize_trace_id(value: Optional[str]) -> Optional[str]:
     return None
 
 
-# --------------------------------------------------------------------------- shared endpoint logic
-class ParsedPredict:
+# --------------------------------------------------------------------------- endpoint logic
+class BadRequest(Exception):
+    """A ``POST /predict`` body the server refuses, with the response to send."""
+
+    def __init__(self, status: int, body: Dict[str, Any]):
+        super().__init__(body["error"])
+        self.status = status
+        self.body = body
+
+
+class ParsedPredict(NamedTuple):
     """The validated fields of a ``POST /predict`` body.
 
-    ``error`` is ``None`` on success, otherwise an ``(http_status,
-    response)`` pair and the remaining fields are meaningless.  ``model`` is
-    the *resolved* deployment-table name (explicit field, tenant pin or
-    server default) and ``tenant`` the raw tenant name (``None`` means the
-    default tenant).
+    ``model`` is the *resolved* deployment-table name (explicit field,
+    tenant pin or server default) and ``tenant`` the raw tenant name
+    (``None`` means the default tenant).
     """
 
-    __slots__ = ("error", "xs", "timeout_ms", "priority", "model", "tenant")
-
-    def __init__(
-        self,
-        error: Optional[Tuple[int, Dict[str, Any]]] = None,
-        xs: Optional[np.ndarray] = None,
-        timeout_ms: Optional[float] = None,
-        priority: Optional[str] = None,
-        model: Optional[str] = None,
-        tenant: Optional[str] = None,
-    ):
-        self.error = error
-        self.xs = xs
-        self.timeout_ms = timeout_ms
-        self.priority = priority
-        self.model = model
-        self.tenant = tenant
+    xs: np.ndarray
+    timeout_ms: Optional[float]
+    priority: Optional[str]
+    model: str
+    tenant: Optional[str]
 
 
-def parse_predict_payload(scheduler: Scheduler, payload: Dict[str, Any]) -> ParsedPredict:
-    """Validate a ``POST /predict`` body against the scheduler's table.
+def parse_predict_payload(scheduler: Scheduler, body: bytes) -> ParsedPredict:
+    """Decode and validate a ``POST /predict`` body against the scheduler's table.
 
-    Shared by the threaded and asyncio fronts so a malformed body gets the
-    same response whichever front receives it: generic 400s for shape/type
-    problems, a structured 404 for unknown models (naming the served
-    models) and a structured 403 for unknown tenants (naming the registered
-    tenants).
+    Raises :class:`BadRequest`: generic 400s for undecodable bodies and
+    shape/type problems, a structured 404 for unknown models (naming the
+    served models) and a structured 403 for unknown tenants (naming the
+    registered tenants).
     """
+    try:
+        payload = json.loads(body.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError):
+        raise BadRequest(400, {"error": "request body is not valid JSON"}) from None
+    if not isinstance(payload, dict):
+        raise BadRequest(400, {"error": "request body is not a JSON object"})
     model = payload.get("model")
     if model is not None and not isinstance(model, str):
-        return ParsedPredict(error=(400, {"error": "'model' is not a string"}))
+        raise BadRequest(400, {"error": "'model' is not a string"})
     tenant = payload.get("tenant")
     if tenant is not None and not isinstance(tenant, str):
-        return ParsedPredict(error=(400, {"error": "'tenant' is not a string"}))
+        raise BadRequest(400, {"error": "'tenant' is not a string"})
     if tenant is not None and tenant not in scheduler.tenants:
-        return ParsedPredict(
-            error=(
-                403,
-                {
-                    "error": f"unknown tenant {tenant!r}",
-                    "tenant": tenant,
-                    "registered_tenants": scheduler.tenants.names(),
-                },
-            )
+        raise BadRequest(
+            403,
+            {
+                "error": f"unknown tenant {tenant!r}",
+                "tenant": tenant,
+                "registered_tenants": scheduler.tenants.names(),
+            },
         )
     try:
         resolved_model = scheduler.resolve_model(model, tenant=tenant)
     except UnknownModel as failure:
-        return ParsedPredict(
-            error=(
-                404,
-                {
-                    "error": str(failure),
-                    "model": failure.model,
-                    "available_models": failure.choices,
-                },
-            )
-        )
+        raise BadRequest(
+            404,
+            {
+                "error": str(failure),
+                "model": failure.model,
+                "available_models": failure.choices,
+            },
+        ) from None
     inputs = payload.get("inputs")
     if inputs is None:
-        return ParsedPredict(error=(400, {"error": "missing 'inputs' field"}))
+        raise BadRequest(400, {"error": "missing 'inputs' field"})
     try:
         xs = np.asarray(inputs, dtype=np.float32)
     except (TypeError, ValueError):
-        return ParsedPredict(error=(400, {"error": "'inputs' is not a numeric array"}))
+        raise BadRequest(400, {"error": "'inputs' is not a numeric array"}) from None
     sample_shape = scheduler.deployments[resolved_model].qmodel.input_shape
     if xs.shape == sample_shape:
         xs = xs[None, ...]
     if xs.ndim != len(sample_shape) + 1 or xs.shape[1:] != sample_shape:
-        return ParsedPredict(
-            error=(
-                400,
-                {
-                    "error": f"model {resolved_model!r} expects inputs of per-sample shape "
-                    f"{list(sample_shape)}, got array of shape {list(xs.shape)}"
-                },
-            )
+        raise BadRequest(
+            400,
+            {
+                "error": f"model {resolved_model!r} expects inputs of per-sample shape "
+                f"{list(sample_shape)}, got array of shape {list(xs.shape)}"
+            },
         )
     timeout_ms = payload.get("timeout_ms")
     if timeout_ms is not None:
         if isinstance(timeout_ms, bool):  # bool passes float() -- reject explicitly
-            return ParsedPredict(error=(400, {"error": "'timeout_ms' is not a number"}))
+            raise BadRequest(400, {"error": "'timeout_ms' is not a number"})
         try:
             timeout_ms = float(timeout_ms)
         except (TypeError, ValueError):
-            return ParsedPredict(error=(400, {"error": "'timeout_ms' is not a number"}))
+            raise BadRequest(400, {"error": "'timeout_ms' is not a number"}) from None
         if timeout_ms <= 0:
-            return ParsedPredict(error=(400, {"error": "'timeout_ms' must be positive"}))
+            raise BadRequest(400, {"error": "'timeout_ms' must be positive"})
     priority = payload.get("priority")
     if priority is not None and (not isinstance(priority, str) or priority not in PRIORITIES):
-        return ParsedPredict(
-            error=(
-                400,
-                {"error": f"unknown priority {priority!r}; expected one of {list(PRIORITIES)}"},
-            )
+        raise BadRequest(
+            400, {"error": f"unknown priority {priority!r}; expected one of {list(PRIORITIES)}"}
         )
-    return ParsedPredict(
-        xs=xs, timeout_ms=timeout_ms, priority=priority, model=resolved_model, tenant=tenant
-    )
+    return ParsedPredict(xs, timeout_ms, priority, resolved_model, tenant)
 
 
 def predict_success_response(requests: List[Request]) -> Dict[str, Any]:
@@ -207,7 +198,7 @@ def predict_success_response(requests: List[Request]) -> Dict[str, Any]:
 
 
 def predict_error_response(error: BaseException) -> Tuple[int, Dict[str, Any]]:
-    """Map a serving-side failure to the (status, body) both fronts return."""
+    """Map a serving-side failure to the (status, body) of the response."""
     if isinstance(error, TenantQuotaExceeded):
         body: Dict[str, Any] = {
             "error": str(error),
@@ -234,17 +225,6 @@ def predict_error_response(error: BaseException) -> Tuple[int, Dict[str, Any]]:
     if isinstance(error, TimeoutError):
         return 503, {"error": "prediction timed out"}
     return 503, {"error": str(error)}
-
-
-def quota_retry_headers(status: int, body: Dict[str, Any]) -> Dict[str, str]:
-    """The ``Retry-After`` header for a 429 body that predicts one.
-
-    Shared by both fronts so rate-limited clients get the same whole-second
-    hint regardless of which server answered.
-    """
-    if status == 429 and "retry_after_s" in body:
-        return {"Retry-After": str(max(1, int(math.ceil(body["retry_after_s"]))))}
-    return {}
 
 
 def _query_int(query: Dict[str, List[str]], name: str) -> Optional[int]:
@@ -318,7 +298,6 @@ class _BacklogThreadingHTTPServer(ThreadingHTTPServer):
     request_queue_size = 128
 
 
-@FRONTS.register("thread")
 class PredictionServer:
     """HTTP front end: serve a running :class:`Scheduler` on a TCP port.
 
@@ -341,10 +320,11 @@ class PredictionServer:
     ):
         self.scheduler = scheduler
         self.request_timeout_s = float(request_timeout_s)
-        handler = _make_handler(self)
+        handler = make_handler(self, tracer=scheduler.obs.tracer)
         self._httpd = _BacklogThreadingHTTPServer((host, port), handler)
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
+        self._closed = False
 
     # ------------------------------------------------------------------ lifecycle
     @property
@@ -363,7 +343,9 @@ class PredictionServer:
         return f"http://{self.host}:{self.port}"
 
     def start(self) -> "PredictionServer":
-        """Serve in a background thread (idempotent)."""
+        """Serve in a background thread (idempotent; a stopped server cannot restart)."""
+        if self._closed:
+            raise RuntimeError("cannot restart a stopped PredictionServer")
         if self._thread is None or not self._thread.is_alive():
             self._thread = threading.Thread(
                 target=self._httpd.serve_forever, name="serving-http", daemon=True
@@ -373,18 +355,22 @@ class PredictionServer:
         return self
 
     def stop(self) -> None:
-        """Stop accepting connections and join the server thread."""
-        self._httpd.shutdown()
-        self._httpd.server_close()
+        """Stop accepting connections, join the server thread and close the socket (idempotent)."""
+        self._closed = True
         if self._thread is not None:
+            self._httpd.shutdown()
             self._thread.join(timeout=5.0)
             self._thread = None
+        self._httpd.server_close()
 
     def serve_forever(self) -> None:
         """Serve on the calling thread until interrupted."""
+        if self._closed:
+            raise RuntimeError("cannot restart a stopped PredictionServer")
         try:
             self._httpd.serve_forever()
         finally:
+            self._closed = True
             self._httpd.server_close()
 
     def __enter__(self) -> "PredictionServer":
@@ -395,9 +381,9 @@ class PredictionServer:
 
     # ------------------------------------------------------------------ request handling
     def handle_predict(
-        self, payload: Dict[str, Any], trace_id: Optional[str] = None
+        self, body: bytes, trace_id: Optional[str] = None
     ) -> Tuple[int, Dict[str, Any], Dict[str, str]]:
-        """Execute one ``POST /predict`` body.
+        """Execute one raw ``POST /predict`` body.
 
         Returns ``(status, response, headers)``; the headers carry the
         ``X-Trace-Id`` of the body's requests once they were submitted.
@@ -406,9 +392,10 @@ class PredictionServer:
         """
         tracer = self.scheduler.obs.tracer
         parse_started = time.monotonic()
-        parsed = parse_predict_payload(self.scheduler, payload)
-        if parsed.error is not None:
-            return parsed.error[0], parsed.error[1], {}
+        try:
+            parsed = parse_predict_payload(self.scheduler, body)
+        except BadRequest as refused:
+            return refused.status, refused.body, {}
         if trace_id is None:
             trace_id = new_trace_id()
         headers = {"X-Trace-Id": trace_id}
@@ -421,8 +408,8 @@ class PredictionServer:
                 model=parsed.model,
                 tenant=parsed.tenant,
             )
-            # The parse span covers validation + enqueue: everything between
-            # body receipt and the requests entering the queue.
+            # The parse span covers decode + validation + enqueue: everything
+            # between body receipt and the requests entering the queue.
             if tracer.enabled:
                 tracer.record_span(
                     "parse", trace_id, parse_started, time.monotonic(), n_samples=len(requests)
@@ -434,9 +421,10 @@ class PredictionServer:
             for request in requests:
                 request.result(timeout=max(deadline - time.monotonic(), 0.001))
         except Exception as failure:
-            status, body = predict_error_response(failure)
-            headers.update(quota_retry_headers(status, body))
-            return status, body, headers
+            status, response = predict_error_response(failure)
+            if "retry_after_s" in response:  # a rate-limited 429: whole-second hint
+                headers["Retry-After"] = str(max(1, math.ceil(response["retry_after_s"])))
+            return status, response, headers
         return 200, predict_success_response(requests), headers
 
     def handle_get(self, path: str) -> Tuple[int, Union[Dict[str, Any], str]]:
@@ -444,9 +432,23 @@ class PredictionServer:
         return handle_introspection(self.scheduler, path)
 
 
-def _make_handler(server: PredictionServer):
+def make_handler(server: Any, tracer: Optional[Tracer] = None) -> type:
+    """The request-handler class of :class:`PredictionServer` and the fleet router.
+
+    ``server`` answers ``handle_get(path) -> (status, payload)`` and
+    ``handle_predict(body, trace_id) -> (status, payload, headers)``.  A
+    ``bytes`` payload is written as-is (its ``Content-Type`` taken from the
+    headers), a ``str`` payload as ``text/plain`` and anything else as JSON.
+    With a ``tracer``, each answered prediction gets a ``respond`` span
+    timing serialisation + the socket write.
+    """
+
     class Handler(BaseHTTPRequestHandler):
         protocol_version = "HTTP/1.1"
+
+        def setup(self) -> None:
+            self.timeout = READ_TIMEOUT_S  # bounds every read on this connection
+            super().setup()
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib signature
             logger.debug("%s -- %s", self.address_string(), format % args)
@@ -454,19 +456,22 @@ def _make_handler(server: PredictionServer):
         def _respond(
             self,
             status: int,
-            payload: Union[Dict[str, Any], str],
+            payload: Union[bytes, str, Dict[str, Any]],
             headers: Optional[Dict[str, str]] = None,
         ) -> None:
-            if isinstance(payload, str):
+            headers = dict(headers or {})
+            content_type = headers.pop("Content-Type", "application/json")
+            if isinstance(payload, bytes):
+                body = payload
+            elif isinstance(payload, str):
                 body = payload.encode("utf-8")
                 content_type = "text/plain; charset=utf-8"
             else:
                 body = json.dumps(payload).encode("utf-8")
-                content_type = "application/json"
             self.send_response(status)
             self.send_header("Content-Type", content_type)
             self.send_header("Content-Length", str(len(body)))
-            for name, value in (headers or {}).items():
+            for name, value in headers.items():
                 self.send_header(name, value)
             self.end_headers()
             self.wfile.write(body)
@@ -487,26 +492,19 @@ def _make_handler(server: PredictionServer):
                 self._respond(400, {"error": "missing or oversized request body"})
                 return
             # Read the body before any routing: leaving it unread would
-            # desync the next request on a keep-alive connection.
-            raw = self.rfile.read(length)
+            # desync the next request on a keep-alive connection.  A stall
+            # raises TimeoutError, on which the stdlib drops the connection.
+            body = self.rfile.read(length)
             if self.path != "/predict":
                 self._respond(404, {"error": f"unknown path {self.path!r}"})
                 return
-            try:
-                payload = json.loads(raw.decode("utf-8"))
-            except (UnicodeDecodeError, json.JSONDecodeError):
-                self._respond(400, {"error": "request body is not valid JSON"})
-                return
-            status, response, headers = server.handle_predict(
-                payload, trace_id=sanitize_trace_id(self.headers.get("X-Trace-Id"))
+            status, payload, headers = server.handle_predict(
+                body, sanitize_trace_id(self.headers.get("X-Trace-Id"))
             )
-            # The respond span times serialisation + the socket write -- the
-            # last leg of the request's journey, on the handler thread.
-            tracer = server.scheduler.obs.tracer
             trace_id = headers.get("X-Trace-Id")
             write_started = time.monotonic()
-            self._respond(status, response, headers)
-            if tracer.enabled and trace_id is not None:
+            self._respond(status, payload, headers)
+            if tracer is not None and tracer.enabled and trace_id is not None:
                 tracer.record_span("respond", trace_id, write_started, time.monotonic())
 
     return Handler

@@ -17,7 +17,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import os
-from concurrent.futures import Future, ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -127,50 +127,3 @@ def parallel_map(
     ) as pool:
         return list(pool.map(func, items, chunksize=max(1, chunksize)))
 
-
-class WorkerPool:
-    """A persistent process pool with per-worker initializer state.
-
-    :func:`parallel_map` spins a pool up and down per call, which is right
-    for one-shot sweeps like the DSE but wrong for long-lived consumers such
-    as the serving scheduler, where the pool (and the model replica each
-    worker holds) must outlive any single batch.  ``WorkerPool`` keeps the
-    executor alive until :meth:`shutdown`; the ``initializer`` runs once per
-    worker process and typically installs large invariant state (a model
-    replica) as module globals.
-
-    Usable as a context manager; ``n_workers <= 1`` raises -- callers should
-    use the serial path directly instead of paying pool overhead.
-    """
-
-    def __init__(
-        self,
-        n_workers: int,
-        initializer: Optional[Callable[..., None]] = None,
-        initargs: tuple = (),
-    ):
-        if n_workers <= 1:
-            raise ValueError("WorkerPool needs n_workers >= 2; run serially otherwise")
-        self.n_workers = int(n_workers)
-        self._pool = ProcessPoolExecutor(
-            max_workers=self.n_workers, initializer=initializer, initargs=initargs
-        )
-
-    def submit(self, func: Callable[..., R], *args) -> "Future[R]":
-        """Schedule ``func(*args)`` on a worker; returns the future."""
-        return self._pool.submit(func, *args)
-
-    def map(self, func: Callable[[T], R], items: Sequence[T]) -> List[R]:
-        """Apply ``func`` to every item concurrently; results in input order."""
-        futures = [self._pool.submit(func, item) for item in items]
-        return [f.result() for f in futures]
-
-    def shutdown(self, wait: bool = True) -> None:
-        """Stop the workers (idempotent)."""
-        self._pool.shutdown(wait=wait)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.shutdown()

@@ -78,6 +78,8 @@ class TestRouting:
         by_name = {span["name"]: span for span in spans}
         assert {"route", "parse", "queue-wait", "execute", "respond"} <= set(by_name)
         assert by_name["route"]["replica"] == "router"
+        # The shared handler records no respond span on the router side.
+        assert [span["name"] for span in spans if span["replica"] == "router"] == ["route"]
         replica = by_name["route"]["attrs"]["target"]
         assert by_name["queue-wait"]["replica"] == replica
         assert by_name["execute"]["replica"] == replica
@@ -257,15 +259,14 @@ class TestTraceIdPlumbing:
         assert sanitize_trace_id("x" * 129) is None
         assert sanitize_trace_id('quo"te') is None
 
-    @pytest.mark.parametrize("front", ["thread", "asyncio"])
-    def test_fronts_accept_incoming_trace_id(self, deployment, images, front):
-        from repro.registry import FRONTS
+    def test_server_accepts_incoming_trace_id(self, deployment, images):
         from repro.serving import Scheduler
+        from repro.serving.server import PredictionServer
 
         scheduler = Scheduler(deployment, policy="fixed", max_batch_size=8, max_wait_ms=1.0)
         scheduler.start()
         try:
-            with FRONTS.resolve(front)(scheduler, port=0) as server:
+            with PredictionServer(scheduler, port=0) as server:
                 payload = json.dumps({"inputs": images[0].tolist()}).encode("utf-8")
                 request = urllib.request.Request(
                     server.url + "/predict",

@@ -2,24 +2,29 @@
 
 from __future__ import annotations
 
-import pickle
+import http.client
+import json
+import socket
 import threading
 import time
+import urllib.error
+import urllib.request
+from concurrent.futures import ThreadPoolExecutor
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from repro.quant.qlayers import im2col_scratch_enabled, set_im2col_scratch
 from repro.registry import POLICIES
 from repro.serving import (
     Client,
     Deployment,
     FixedPolicy,
+    FleetRouter,
     HTTPClient,
     LatencySLOPolicy,
     PredictionServer,
     QueueDepthPolicy,
-    ReplicatedRunner,
     Request,
     RequestError,
     RequestQueue,
@@ -30,7 +35,9 @@ from repro.serving import (
     priority_rank,
     resolve_policy,
 )
+from repro.serving import server as server_module
 from repro.serving.metrics import MetricsSnapshot
+from repro.serving.server import MAX_BODY_BYTES
 from repro.workflow import ArtifactStore, Experiment, ServeStage, fingerprint
 
 
@@ -490,12 +497,6 @@ class TestScheduler:
         assert snapshot.requests_completed == 0
         assert snapshot.batches == 0
 
-    def test_multi_worker_replicas_match_serial(self, deployment, small_split):
-        xs = _sample_images(small_split, 24)
-        expected = deployment.qmodel.predict_classes(xs, masks=None)
-        with ReplicatedRunner(deployment, n_workers=2, min_shard=4) as runner:
-            np.testing.assert_array_equal(runner.predict(xs, level=0), expected)
-
 
 # --------------------------------------------------------------------------- timeout shedding
 class TestTimeoutShedding:
@@ -666,6 +667,18 @@ class TestServerMetrics:
 
 
 # --------------------------------------------------------------------------- HTTP front
+def _post_json(url: str, payload, path: str = "/predict") -> tuple:
+    body = payload if isinstance(payload, bytes) else json.dumps(payload).encode()
+    request = urllib.request.Request(
+        url + path, data=body, headers={"Content-Type": "application/json"}, method="POST"
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=10) as response:
+            return response.status, json.loads(response.read())
+    except urllib.error.HTTPError as error:
+        return error.code, json.loads(error.read())
+
+
 class TestHTTPServer:
     def test_http_round_trip_and_introspection(self, deployment, small_split):
         xs = _sample_images(small_split, 6)
@@ -685,28 +698,175 @@ class TestHTTPServer:
                     level.name for level in deployment.levels
                 ]
 
+    def test_round_trip_matches_kernels_at_every_level(self, deployment, small_split):
+        xs = _sample_images(small_split, 6)
+        for index, level in enumerate(deployment.levels):
+            expected = deployment.qmodel.predict_classes(xs, masks=level.masks)
+            policy = FixedPolicy(level=index)
+            with Scheduler(deployment, policy=policy, max_batch_size=8, max_wait_ms=5) as scheduler:
+                with PredictionServer(scheduler, port=0) as server:
+                    body = HTTPClient(server.url).predict(xs)
+            assert body["levels"] == [level.name] * len(xs)
+            np.testing.assert_array_equal(np.asarray(body["classes"]), expected)
+
+    def test_introspection_endpoints(self, deployment):
+        with Scheduler(deployment) as scheduler:
+            with PredictionServer(scheduler, port=0) as server:
+                client = HTTPClient(server.url)
+                assert client.health() == "ok"
+                metrics = client.metrics()
+                assert "per_priority" in metrics and "requests_completed" in metrics
+                levels = client.levels()
+                assert [entry["name"] for entry in levels] == [
+                    level.name for level in deployment.levels
+                ]
+
     def test_http_rejects_bad_inputs(self, deployment):
         with Scheduler(deployment) as scheduler:
             with PredictionServer(scheduler, port=0) as server:
-                import json
-                import urllib.error
-                import urllib.request
-
-                def post(body: bytes):
-                    request = urllib.request.Request(
-                        server.url + "/predict", data=body,
-                        headers={"Content-Type": "application/json"}, method="POST",
-                    )
-                    try:
-                        with urllib.request.urlopen(request, timeout=10) as response:
-                            return response.status, json.loads(response.read())
-                    except urllib.error.HTTPError as error:
-                        return error.code, json.loads(error.read())
-
-                assert post(b"not json")[0] == 400
-                assert post(b"{}")[0] == 400
-                status, payload = post(json.dumps({"inputs": [[1, 2], [3, 4]]}).encode())
+                assert _post_json(server.url, b"not json")[0] == 400
+                assert _post_json(server.url, b"{}")[0] == 400
+                assert _post_json(server.url, b"[1, 2]")[0] == 400
+                status, payload = _post_json(server.url, {"inputs": [[1, 2], [3, 4]]})
                 assert status == 400 and "shape" in payload["error"]
+
+    def test_rejects_bad_request_fields(self, deployment):
+        sample = np.zeros(deployment.qmodel.input_shape, np.float32).tolist()
+        with Scheduler(deployment) as scheduler:
+            with PredictionServer(scheduler, port=0) as server:
+                status, payload = _post_json(server.url, {"inputs": sample, "priority": "vip"})
+                assert status == 400 and "priority" in payload["error"]
+                assert _post_json(server.url, {"inputs": sample, "timeout_ms": -1})[0] == 400
+                assert _post_json(server.url, {"inputs": [sample]}, path="/nope")[0] == 404
+
+    def test_priority_tag_round_trips(self, deployment, small_split):
+        xs = _sample_images(small_split, 2)
+        with Scheduler(deployment) as scheduler:
+            with PredictionServer(scheduler, port=0) as server:
+                client = HTTPClient(server.url)
+                body = client.predict(xs, priority="interactive")
+                assert body["priority"] == "interactive"
+                assert len(body["classes"]) == 2
+                stats = client.metrics()["per_priority"]
+                assert stats["interactive"]["completed"] == 2
+
+    def test_keep_alive_serves_multiple_requests_per_connection(self, deployment, small_split):
+        body = json.dumps({"inputs": small_split.test.images[0].tolist()}).encode()
+        with Scheduler(deployment) as scheduler:
+            with PredictionServer(scheduler, port=0) as server:
+                connection = http.client.HTTPConnection(server.host, server.port, timeout=10)
+                try:
+                    for _ in range(3):  # same socket, three requests
+                        connection.request(
+                            "POST", "/predict", body=body,
+                            headers={"Content-Type": "application/json"},
+                        )
+                        response = connection.getresponse()
+                        assert response.status == 200
+                        assert len(json.loads(response.read())["classes"]) == 1
+                finally:
+                    connection.close()
+
+    def test_concurrent_clients_all_answered(self, deployment, small_split):
+        xs = _sample_images(small_split, 16)
+        expected = deployment.qmodel.predict_classes(xs, masks=None)
+        with Scheduler(deployment, policy="fixed", max_batch_size=16, max_wait_ms=5) as scheduler:
+            with PredictionServer(scheduler, port=0) as server:
+                client = HTTPClient(server.url)
+
+                def call(i: int) -> int:
+                    return int(client.predict_classes(xs[i])[0])
+
+                with ThreadPoolExecutor(max_workers=16) as pool:
+                    answers = list(pool.map(call, range(len(xs))))
+        np.testing.assert_array_equal(np.asarray(answers), expected)
+
+    def test_stop_is_idempotent_and_restart_rejected(self, deployment):
+        with Scheduler(deployment) as scheduler:
+            server = PredictionServer(scheduler, port=0).start()
+            assert server.port > 0
+            server.stop()
+            server.stop()  # second stop is a no-op
+            with pytest.raises(RuntimeError):
+                server.start()
+
+
+@pytest.fixture(params=["server", "router"])
+def http_front(request, deployment):
+    """A running PredictionServer, or a FleetRouter in front of one."""
+    with Scheduler(deployment, policy="fixed", max_wait_ms=1.0) as scheduler:
+        with PredictionServer(scheduler, port=0) as server:
+            if request.param == "server":
+                yield server
+            else:
+                replica = SimpleNamespace(name="0", url=server.url)
+                with FleetRouter([replica], health_interval_s=60.0) as router:
+                    yield router
+
+
+class TestRequestBodyValidation:
+    """The shared handler's body checks, on the server and on the router."""
+
+    @staticmethod
+    def _send(connection, path: str, body: bytes = b"", content_length=None):
+        """POST raw bytes with an explicit Content-Length; returns (status, payload)."""
+        connection.putrequest("POST", path)
+        connection.putheader("Content-Type", "application/json")
+        connection.putheader(
+            "Content-Length", str(len(body) if content_length is None else content_length)
+        )
+        connection.endheaders(body)
+        response = connection.getresponse()
+        return response.status, json.loads(response.read())
+
+    @pytest.fixture
+    def connection(self, http_front):
+        connection = http.client.HTTPConnection(http_front.host, http_front.port, timeout=10)
+        yield connection
+        connection.close()
+
+    def test_malformed_content_length(self, connection):
+        status, payload = self._send(connection, "/predict", b"{}", content_length="ten")
+        assert status == 400 and "Content-Length" in payload["error"]
+
+    def test_zero_length_body(self, connection):
+        status, payload = self._send(connection, "/predict", b"")
+        assert status == 400 and "missing" in payload["error"]
+
+    def test_oversized_body_refused_unread(self, connection):
+        status, payload = self._send(connection, "/predict", content_length=MAX_BODY_BYTES + 1)
+        assert status == 400 and "oversized" in payload["error"]
+
+    def test_unknown_path_then_predict_on_one_connection(self, connection, small_split):
+        # The 404'd body must be consumed: the next request on the same
+        # keep-alive connection would otherwise be parsed out of its middle.
+        body = json.dumps({"inputs": small_split.test.images[0].tolist()}).encode()
+        status, _ = self._send(connection, "/predictt", body)
+        assert status == 404
+        status, payload = self._send(connection, "/predict", body)
+        assert status == 200 and len(payload["classes"]) == 1
+
+    def test_invalid_json(self, connection):
+        status, payload = self._send(connection, "/predict", b"not json")
+        assert status == 400 and payload["error"] == "request body is not valid JSON"
+
+    def test_stalled_body_is_dropped(self, http_front, small_split, monkeypatch):
+        monkeypatch.setattr(server_module, "READ_TIMEOUT_S", 0.2)
+        with socket.create_connection((http_front.host, http_front.port), timeout=5) as sock:
+            sock.sendall(
+                b"POST /predict HTTP/1.1\r\nHost: test\r\nContent-Length: 1000\r\n\r\n"
+                + b"x" * 10
+            )
+            started = time.monotonic()
+            try:
+                assert sock.recv(1) == b""  # closed without an answer
+            except ConnectionResetError:
+                pass
+            assert time.monotonic() - started < 3.0
+        status, payload = _post_json(
+            http_front.url, {"inputs": small_split.test.images[0].tolist()}
+        )
+        assert status == 200 and len(payload["classes"]) == 1
 
 
 # --------------------------------------------------------------------------- workflow integration
@@ -746,48 +906,12 @@ class TestServeStage:
 
 # --------------------------------------------------------------------------- hot-path satellites
 class TestScratchBuffers:
-    def test_forward_identical_with_and_without_scratch(self, tiny_qmodel, small_split):
-        xs = _sample_images(small_split, 9)
-        assert not im2col_scratch_enabled()  # allocator recycling is the default
-        without = tiny_qmodel.predict_classes(xs, batch_size=4)
-        previous = set_im2col_scratch(True)
-        try:
-            with_scratch_1 = tiny_qmodel.predict_classes(xs, batch_size=4)
-            with_scratch_2 = tiny_qmodel.predict_classes(xs, batch_size=4)  # reused buffers
-            assert any(layer._cols_scratch is not None for layer in tiny_qmodel.conv_layers())
-        finally:
-            set_im2col_scratch(previous)
-        np.testing.assert_array_equal(with_scratch_1, with_scratch_2)
-        np.testing.assert_array_equal(with_scratch_1, without)
-
-    def test_scratch_survives_shape_changes(self, tiny_qmodel, small_split):
-        xs = _sample_images(small_split, 10)
-        previous = set_im2col_scratch(True)
-        try:
-            a = tiny_qmodel.predict_classes(xs, batch_size=8)  # chunks of 8 then 2
-            b = tiny_qmodel.predict_classes(xs, batch_size=10)
-        finally:
-            set_im2col_scratch(previous)
-        np.testing.assert_array_equal(a, b)
+    """A forward pass keeps no scratch state on the model (fingerprints hash its pickle)."""
 
     def test_fingerprint_stable_across_forward(self, tiny_qmodel, small_split):
         before = fingerprint(tiny_qmodel)
-        previous = set_im2col_scratch(True)
-        try:
-            tiny_qmodel.predict_classes(_sample_images(small_split, 5))
-        finally:
-            set_im2col_scratch(previous)
+        tiny_qmodel.predict_classes(_sample_images(small_split, 5))
         assert fingerprint(tiny_qmodel) == before
-
-    def test_scratch_not_pickled(self, tiny_qmodel, small_split):
-        previous = set_im2col_scratch(True)
-        try:
-            tiny_qmodel.predict_classes(_sample_images(small_split, 5))
-        finally:
-            set_im2col_scratch(previous)
-        clone = pickle.loads(pickle.dumps(tiny_qmodel))
-        for layer in clone.conv_layers():
-            assert layer._cols_scratch is None
 
 
 # --------------------------------------------------------------------------- artifact store concurrency
