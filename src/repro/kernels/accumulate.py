@@ -1,14 +1,22 @@
-"""Exact integer accumulation helpers.
+"""The int8 MAC core shared by every exact execution path.
 
-The quantized kernels accumulate ``int8 x int8`` products into int32.  Doing
-this with NumPy integer matmuls is slow (no BLAS path), so we use float
-matrix multiplication -- which is *exact* as long as every intermediate value
-fits in the floating-point mantissa.  ``float32`` holds integers up to 2**24
-exactly; ``float64`` up to 2**53.  The helper below picks the cheapest dtype
-that is provably exact for the given reduction depth.
+A quantized conv or dense layer is a masked multiply-accumulate followed by
+bias, requantize, output offset and int8 saturation; the paper's computation
+skipping only changes which operands are retained.  :func:`convolve_s8`,
+:func:`fully_connected_s8` and the VM's turbo mode all run
+:func:`accumulate_requantize`; they differ only in where the masked weights
+and the per-channel init come from (:func:`prepare_weights` on the layer's
+constants for the kernels, the lowered instruction stream for the VM).
+
+The product runs through BLAS in float, which is *exact* while every partial
+sum fits in the mantissa (2**24 for float32, 2**53 for float64), so the
+result does not depend on the summation order.  The input offset is folded
+into the init: ``acc = patches @ w.T + bias - zp_in * w.sum(axis=1)``.
 """
 
 from __future__ import annotations
+
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -30,13 +38,55 @@ def exact_matmul_dtype(reduction_depth: int) -> np.dtype:
     return np.dtype(np.float64)
 
 
-def integer_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Exact integer matrix product computed through BLAS.
+def prepare_weights(
+    weights: np.ndarray,
+    weight_mask: Optional[np.ndarray],
+    input_zero_point: int,
+    bias: Optional[np.ndarray],
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Masked ``(Cout, K)`` weights in the exact compute dtype, plus the float64 init.
 
-    ``a`` and ``b`` are integer-valued arrays (any integer or float dtype);
-    the result is returned as int64.
+    ``weights`` is the int8 ``(Cout, K)`` matrix, one row per output channel;
+    skipped operands of the optional boolean ``weight_mask`` get weight zero
+    and so drop out of the init ``bias - zp_in * row_sum`` too.
     """
-    k = a.shape[-1]
-    dtype = exact_matmul_dtype(k)
-    result = np.asarray(a, dtype=dtype) @ np.asarray(b, dtype=dtype)
-    return np.rint(result).astype(np.int64)
+    out_c, k = weights.shape
+    w = weights.astype(exact_matmul_dtype(k))
+    if weight_mask is not None:
+        weight_mask = np.asarray(weight_mask, dtype=bool)
+        if weight_mask.shape != (out_c, k):
+            raise ValueError(f"weight_mask shape {weight_mask.shape} must be ({out_c}, {k})")
+        w *= weight_mask
+    init = -float(input_zero_point) * w.sum(axis=1, dtype=np.float64)
+    if bias is not None:
+        bias = np.asarray(bias, dtype=np.int64)
+        if bias.shape != (out_c,):
+            raise ValueError(f"bias must have shape ({out_c},), got {bias.shape}")
+        init += bias
+    return w, init
+
+
+def accumulate_requantize(
+    patches: np.ndarray,
+    weights: np.ndarray,
+    init: np.ndarray,
+    multipliers: np.ndarray,
+    output_zero_point: int,
+    activation_min: int,
+    activation_max: int,
+) -> np.ndarray:
+    """Exact int8 MAC plus requantize: ``(P, K)`` patches -> ``(P, Cout)`` int8.
+
+    ``patches`` and the ``(Cout, K)`` ``weights`` share the exact compute
+    dtype.  From the accumulator on every value is an exactly-represented
+    integer in float64, so ``rint(acc * multiplier) + zp_out``, clamped and
+    cast straight into the int8 output, is what the int32 code computes.
+    """
+    acc = (patches @ weights.T).astype(np.float64, copy=False)
+    acc += init
+    acc *= np.asarray(multipliers, dtype=np.float64)
+    np.rint(acc, out=acc)
+    acc += float(output_zero_point)
+    out = np.empty(acc.shape, dtype=np.int8)
+    np.clip(acc, activation_min, activation_max, out=out, casting="unsafe")
+    return out

@@ -1,9 +1,11 @@
 """int8 convolution kernel (the NumPy analogue of ``arm_convolve_s8``).
 
-The kernel follows the CMSIS-NN dataflow: im2col patch extraction, a matrix
-multiplication between int8 patches and int8 filter weights with int32
-accumulation, bias addition, per-channel requantization, activation clamping
-and saturation to int8.
+The kernel follows the CMSIS-NN dataflow: im2col patch extraction, then the
+int8 MAC core of :mod:`repro.kernels.accumulate` (exact matrix product with
+int32-equivalent accumulation, bias addition, per-channel requantization,
+activation clamping and saturation to int8), the same core
+:func:`~repro.kernels.fully_connected_s8.fully_connected_s8` and the VM's
+turbo mode run.
 
 Two features go beyond the stock kernel and exist for the paper's framework:
 
@@ -22,7 +24,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.accumulate import exact_matmul_dtype
+from repro.kernels.accumulate import accumulate_requantize, prepare_weights
 from repro.kernels.cycle_counters import CycleCounter, KernelStats
 from repro.kernels.im2col import im2col_s8
 from repro.nn.functional import conv_output_shape
@@ -85,54 +87,17 @@ def convolve_s8(
     out_h, out_w = conv_output_shape(in_h, in_w, (kh, kw), stride, padding)
     k = kh * kw * in_c
 
-    w_mat = weights.reshape(out_c, k).astype(np.int64)
-    if weight_mask is not None:
-        weight_mask = np.asarray(weight_mask, dtype=bool)
-        if weight_mask.shape != (out_c, k):
-            raise ValueError(
-                f"weight_mask shape {weight_mask.shape} must be ({out_c}, {k})"
-            )
-        w_mat = w_mat * weight_mask
-
-    # The accumulation runs through BLAS in the cheapest float dtype whose
-    # mantissa provably holds the worst-case int8xint8 accumulator (see
-    # repro.kernels.accumulate), so the patches are widened straight to that
-    # dtype -- no intermediate int32 patch matrix, no post-matmul conversion.
-    compute_dtype = exact_matmul_dtype(k)
-    cols = im2col_s8(x, (kh, kw), stride, padding, input_zero_point, dtype=compute_dtype)
-    cols_flat = cols.reshape(n * out_h * out_w, k)
-
-    # acc[p, c] = sum_i w[c, i] * (x[p, i] - in_zp)
-    #           = (cols @ w.T)[p, c] - in_zp * sum_i w[c, i]
-    # Every value below is an exactly-represented integer; the arithmetic is
-    # carried out in float64 from the accumulator on, which is lossless
-    # (< 2**53) and feeds np.rint the same numbers the int64 path produced.
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.int64)
-        if bias.shape != (out_c,):
-            raise ValueError(f"bias must have shape ({out_c},), got {bias.shape}")
-    acc = (cols_flat @ w_mat.T.astype(compute_dtype)).astype(np.float64, copy=False)
-    # One per-channel additive pass: bias minus the input-offset correction.
-    combined = -float(input_zero_point) * w_mat.sum(axis=1).astype(np.float64)
-    if bias is not None:
-        combined += bias.astype(np.float64)
-    acc += combined[None, :]
-
-    # Fused requantize/offset/clamp, in place on the accumulator, with the
-    # clamp casting straight into the int8 output buffer: numerically
-    # identical to requantize_float + offset + clip (every intermediate is an
-    # exactly-represented integer) without the int64 round trip and its
-    # extra full-array passes.
-    multipliers = np.broadcast_to(np.asarray(output_multipliers, dtype=np.float64), (out_c,))
-    acc *= multipliers[None, :]
-    np.rint(acc, out=acc)
-    acc += float(output_zero_point)
-    out = np.empty(acc.shape, dtype=np.int8)
-    np.clip(acc, activation_min, activation_max, out=out, casting="unsafe")
-    out = out.reshape(n, out_h, out_w, out_c)
+    w, init = prepare_weights(weights.reshape(out_c, k), weight_mask, input_zero_point, bias)
+    # The patches are widened straight into the exact compute dtype of the
+    # weights: no intermediate int32 patch matrix.
+    cols = im2col_s8(x, (kh, kw), stride, padding, input_zero_point, dtype=w.dtype)
+    out = accumulate_requantize(
+        cols.reshape(n * out_h * out_w, k), w, init, output_multipliers,
+        output_zero_point, activation_min, activation_max,
+    ).reshape(n, out_h, out_w, out_c)
 
     if counter is not None:
-        retained = int(weight_mask.sum()) if weight_mask is not None else out_c * k
+        retained = out_c * k if weight_mask is None else int(np.count_nonzero(weight_mask))
         patches = n * out_h * out_w
         counter.record(
             section,

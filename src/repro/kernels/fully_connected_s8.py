@@ -1,4 +1,9 @@
-"""int8 fully-connected kernel (analogue of ``arm_fully_connected_s8``)."""
+"""int8 fully-connected kernel (analogue of ``arm_fully_connected_s8``).
+
+The input rows are the patches of the int8 MAC core in
+:mod:`repro.kernels.accumulate`, which this kernel shares with
+:func:`~repro.kernels.conv_s8.convolve_s8` and the VM's turbo mode.
+"""
 
 from __future__ import annotations
 
@@ -6,7 +11,7 @@ from typing import Optional
 
 import numpy as np
 
-from repro.kernels.accumulate import exact_matmul_dtype
+from repro.kernels.accumulate import accumulate_requantize, prepare_weights
 from repro.kernels.cycle_counters import CycleCounter, KernelStats
 
 
@@ -50,39 +55,15 @@ def fully_connected_s8(
     if x.shape[1] != in_features:
         raise ValueError(f"feature mismatch: input {x.shape[1]} vs weights {in_features}")
 
-    w_mat = weights.astype(np.int64)
-    if weight_mask is not None:
-        weight_mask = np.asarray(weight_mask, dtype=bool)
-        if weight_mask.shape != (out_features, in_features):
-            raise ValueError(
-                f"weight_mask shape {weight_mask.shape} must be ({out_features}, {in_features})"
-            )
-        w_mat = w_mat * weight_mask.T
-
-    # Same exact-float accumulation + fused requantize as the conv kernel
-    # (see convolve_s8): BLAS matmul in the cheapest provably-exact float
-    # dtype, one combined bias/offset pass, clamp casting into int8.
-    if bias is not None:
-        bias = np.asarray(bias, dtype=np.int64)
-        if bias.shape != (out_features,):
-            raise ValueError(f"bias must have shape ({out_features},), got {bias.shape}")
-    compute_dtype = exact_matmul_dtype(in_features)
-    acc = (x.astype(compute_dtype) @ w_mat.astype(compute_dtype)).astype(np.float64, copy=False)
-    combined = -float(input_zero_point) * w_mat.sum(axis=0).astype(np.float64)
-    if bias is not None:
-        combined += bias.astype(np.float64)
-    acc += combined[None, :]
-
-    multipliers = np.broadcast_to(np.asarray(output_multipliers, dtype=np.float64), (out_features,))
-    acc *= multipliers[None, :]
-    np.rint(acc, out=acc)
-    acc += float(output_zero_point)
-    out = np.empty(acc.shape, dtype=np.int8)
-    np.clip(acc, activation_min, activation_max, out=out, casting="unsafe")
+    w, init = prepare_weights(weights.T, weight_mask, input_zero_point, bias)
+    out = accumulate_requantize(
+        x.astype(w.dtype), w, init, output_multipliers,
+        output_zero_point, activation_min, activation_max,
+    )
 
     if counter is not None:
         n = x.shape[0]
-        retained = int(weight_mask.sum()) if weight_mask is not None else in_features * out_features
+        retained = in_features * out_features if weight_mask is None else int(np.count_nonzero(weight_mask))
         counter.record(
             section,
             KernelStats(

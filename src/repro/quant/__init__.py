@@ -19,7 +19,7 @@ from repro.quant.schemes import (
     symmetric_params_from_absmax,
 )
 from repro.quant.observers import MinMaxObserver, PercentileObserver
-from repro.quant.requantize import (
+from repro.kernels.requantize import (
     FixedPointMultiplier,
     quantize_multiplier,
     requantize,

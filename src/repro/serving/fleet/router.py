@@ -124,9 +124,21 @@ class FleetRouter:
             self._g_up.set(1, target=state.name)
 
         self._local = threading.local()  # per-handler-thread keep-alive links
+        self._open_links: set = set()  # every link not yet closed, for stop()
+        router = self
+
         # The replicas' handler class, minus the tracer: the router records
-        # only its ``route`` span per hop, never a ``respond`` span.
-        self._httpd = _BacklogThreadingHTTPServer((host, port), make_handler(self))
+        # only its ``route`` span per hop, never a ``respond`` span.  Each
+        # client connection has its own handler thread, so the thread's links
+        # close when its connection ends.
+        class _RouterHandler(make_handler(self)):
+            def finish(self) -> None:
+                try:
+                    super().finish()
+                finally:
+                    router._close_thread_links()
+
+        self._httpd = _BacklogThreadingHTTPServer((host, port), _RouterHandler)
         self._httpd.daemon_threads = True
         self._thread: Optional[threading.Thread] = None
         self._health_stop = threading.Event()
@@ -172,7 +184,7 @@ class FleetRouter:
         self.obs.events.emit("drain-start", "router draining: new predictions get 503")
 
     def stop(self, drain: bool = True) -> None:
-        """Drain (optionally), stop probing, close the listener."""
+        """Drain (optionally), stop probing, close the listener and replica links."""
         if drain:
             self.begin_drain()
             deadline = time.monotonic() + self.drain_timeout_s
@@ -195,6 +207,10 @@ class FleetRouter:
         if self._thread is not None:
             self._thread.join(timeout=5.0)
             self._thread = None
+        with self._lock:
+            leftover, self._open_links = self._open_links, set()
+        for link in leftover:
+            link.close()
 
     def __enter__(self) -> "FleetRouter":
         return self.start()
@@ -253,7 +269,20 @@ class FleetRouter:
                 parts.hostname, parts.port, timeout=self.request_timeout_s
             )
             links[state.name] = link
+            with self._lock:
+                self._open_links.add(link)
         return link
+
+    def _close_thread_links(self) -> None:
+        """Close this handler thread's keep-alive links to the replicas."""
+        links = getattr(self._local, "links", None)
+        if not links:
+            return
+        with self._lock:
+            self._open_links.difference_update(links.values())
+        for link in links.values():
+            link.close()
+        links.clear()
 
     def _forward(
         self, state: _ReplicaState, body: bytes, trace_id: str

@@ -6,16 +6,16 @@ Two execution modes share the same semantics:
   executes in program order, vectorised over the batch's spatial positions
   (the honest rendering of the straight-line code: the accumulator state
   between any two instructions is observable).
-* ``"turbo"``  -- each output channel's SMLAD/MLA run is fused into one
-  gather + integer dot product over the precomputed per-channel operand
-  tables, with the epilogue (requantize/clamp/store) batched across all
-  channels.  Same int64 accumulators, same float64 requantization -- the
-  outputs are bit-identical to the interpreter's, roughly an order of
-  magnitude faster.
+* ``"turbo"``  -- every channel's SMLAD/MLA run is fused into one matrix
+  product over the weight matrix rebuilt from the instruction stream, with
+  the epilogue (requantize/clamp/store) batched across all channels.  It
+  runs the int8 MAC core of :mod:`repro.kernels.accumulate` -- the one the
+  simulation kernels run -- on the program's own weights and init.
 
-Both modes accumulate in int64 (the generated code's int32 accumulators never
-overflow int64) and requantize exactly as the simulation kernels do
-(``rint(acc * multiplier) + zero_point`` in float64, clamp, cast), so VM
+The interpreter accumulates in int64 (the generated code's int32
+accumulators never overflow int64); turbo accumulates in a float dtype that
+is provably exact for the layer's depth.  Both requantize as
+``rint(acc * multiplier) + zero_point`` in float64, clamp and cast, so VM
 outputs are bit-identical to the :class:`~repro.quant.qmodel.QuantizedModel`
 kernel path under the same masks -- the property the differential harness in
 :mod:`repro.vm.verify` asserts.
@@ -35,7 +35,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.isa.trace import FLASH_WAIT_PER_WORD, InstructionTrace
-from repro.kernels.accumulate import exact_matmul_dtype
+from repro.kernels.accumulate import accumulate_requantize
 from repro.kernels.im2col import im2col_s8
 from repro.nn.functional import conv_output_shape
 from repro.quant.qmodel import QuantizedModel
@@ -223,28 +223,23 @@ def execute_layer_interp(program: LayerProgram, x: np.ndarray) -> np.ndarray:
 def execute_layer_turbo(program: LayerProgram, x: np.ndarray) -> np.ndarray:
     """Fused execution: every channel's instruction run becomes one matrix product.
 
-    The weight matrix is the one reconstructed *from the instruction stream*
-    at lowering time (skipped operands zero), and the accumulation runs
-    through BLAS in the cheapest float dtype whose mantissa provably holds
-    the worst-case int8 accumulator (:func:`~repro.kernels.accumulate.
-    exact_matmul_dtype`) -- every intermediate is an exactly-represented
-    integer, so the result is bit-identical to the instruction-granular
-    interpreter (and to the simulation kernels).
+    The weights and per-channel init are the ones reconstructed *from the
+    instruction stream* at lowering time (skipped operands zero), never the
+    quantized layer's constants, so the differential check against the
+    kernels compares two independent sources.  The arithmetic is the shared
+    exact int8 MAC core (:func:`~repro.kernels.accumulate.
+    accumulate_requantize`), bit-identical to the instruction-granular
+    interpreter.
     """
-    if program.dense_weights is None:
-        raise VMError(f"{program.name}: program was lowered without fused weights")
-    compute_dtype = exact_matmul_dtype(program.operands_per_channel)
-    patches, positions, out_shape = _gather_patches(program, x, dtype=compute_dtype)
-    facc = (patches @ program.dense_weights.T.astype(compute_dtype)).astype(
-        np.float64, copy=False
-    )
-    facc += program.init_acc[None, :].astype(np.float64)
-    facc *= program.multipliers[None, :]
-    np.rint(facc, out=facc)
-    facc += float(program.output_zero_point)
-    out_flat = np.empty(facc.shape, dtype=np.int8)
-    np.clip(
-        facc, program.activation_min, program.activation_max, out=out_flat, casting="unsafe"
+    patches, _, out_shape = _gather_patches(program, x, dtype=program.dense_weights.dtype)
+    out_flat = accumulate_requantize(
+        patches,
+        program.dense_weights,
+        program.init_acc,
+        program.multipliers,
+        program.output_zero_point,
+        program.activation_min,
+        program.activation_max,
     )
     return out_flat.reshape(out_shape)
 

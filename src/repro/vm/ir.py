@@ -5,7 +5,10 @@ a flat sequence of :class:`Instruction` records (SMLAD/MLA accumulations plus
 the INIT/REQUANT/CLAMP/STORE epilogue of every output channel) together with
 the layer's geometry and quantization metadata.  The instruction stream is
 lowered from the same :class:`~repro.core.codegen.LayerPlan` the C emitter
-renders, so text and IR describe the identical design.
+renders, so text and IR describe the identical design.  Its constants --
+the folded per-channel init and the weight matrix rebuilt from the SMLAD/MLA
+operands -- are what the turbo execution mode hands to the shared int8 MAC
+core of :mod:`repro.kernels.accumulate`.
 
 Each IR instruction expands to a fixed bundle of Thumb-2 opcodes
 (:data:`OPCODE_EXPANSION`, matching :mod:`repro.isa.trace`'s modelling of the
@@ -17,9 +20,9 @@ feeds back to calibrate the analytic cost model.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Tuple, Union
 
 import numpy as np
 
@@ -211,15 +214,13 @@ class LayerProgram(ProgramAccounting):
         Per-channel real requantization multipliers.
     activation_min, activation_max:
         Output clamp range.
-    channel_indices, channel_weights:
-        Per-channel fused views of the retained operands (indices into the
-        patch, int64 weights) -- the per-channel rendering of the
-        instruction stream used by tests and diagnostics.
     dense_weights:
         The ``(out_channels, K)`` weight matrix reconstructed from the
-        instruction stream (skipped operands are zero) -- precomputed at
-        lowering time so the turbo execution mode can fuse every channel's
-        instruction run into one batched matrix product.
+        instruction stream (skipped operands are zero), built once at
+        lowering time in the exact compute dtype of ``K``
+        (:func:`~repro.kernels.accumulate.exact_matmul_dtype`) -- the turbo
+        execution mode feeds it straight to the shared int8 MAC core,
+        fusing every channel's instruction run into one matrix product.
     retained_operands:
         Total retained MACs (for reporting).
     """
@@ -239,9 +240,7 @@ class LayerProgram(ProgramAccounting):
     multipliers: np.ndarray
     activation_min: int
     activation_max: int
-    channel_indices: List[np.ndarray] = field(default_factory=list)
-    channel_weights: List[np.ndarray] = field(default_factory=list)
-    dense_weights: Optional[np.ndarray] = None
+    dense_weights: np.ndarray
     retained_operands: int = 0
 
     # ------------------------------------------------------------------ accounting

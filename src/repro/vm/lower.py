@@ -29,6 +29,7 @@ import numpy as np
 
 from repro.core.codegen import LayerPlan, plan_layer
 from repro.core.unpacking import UnpackedLayer, unpack_layer, unpack_model
+from repro.kernels.accumulate import exact_matmul_dtype
 from repro.quant.qlayers import (
     QAvgPool2D,
     QConv2D,
@@ -52,8 +53,13 @@ from repro.vm.ir import (
 def _lower_plan(plan: LayerPlan, qlayer: QConv2D | QDense) -> LayerProgram:
     """Turn one layer plan plus its quantized layer's metadata into a program."""
     instructions: List[Instruction] = []
-    channel_indices: List[np.ndarray] = []
-    channel_weights: List[np.ndarray] = []
+    # The turbo mode's fused weight matrix, reconstructed from the
+    # instruction stream in the exact compute dtype: skipped operands stay
+    # zero, exactly as they contribute nothing in the straight-line code.
+    dense_weights = np.zeros(
+        (plan.out_channels, plan.operands_per_channel),
+        dtype=exact_matmul_dtype(plan.operands_per_channel),
+    )
     for ch in plan.channels:
         c = ch.channel
         instructions.append(Instruction(op=Opcode.INIT, channel=c))
@@ -73,8 +79,7 @@ def _lower_plan(plan: LayerPlan, qlayer: QConv2D | QDense) -> LayerProgram:
         instructions.append(Instruction(op=Opcode.REQUANT, channel=c))
         instructions.append(Instruction(op=Opcode.CLAMP, channel=c))
         instructions.append(Instruction(op=Opcode.STORE, channel=c))
-        channel_indices.append(np.asarray(idx, dtype=np.int64))
-        channel_weights.append(np.asarray(wts, dtype=np.int64))
+        dense_weights[c, idx] = wts
 
     if isinstance(qlayer, QConv2D):
         is_conv = True
@@ -88,23 +93,13 @@ def _lower_plan(plan: LayerPlan, qlayer: QConv2D | QDense) -> LayerProgram:
     # Fold the input-offset correction into the per-channel init constant:
     # init_acc[c] = bias[c] - zp_in * sum of the channel's retained weights.
     zp_in = int(qlayer.input_params.scalar_zero_point())
-    retained_weight_sums = np.asarray(
-        [int(w.sum()) for w in channel_weights], dtype=np.int64
-    )
-    init_acc = -zp_in * retained_weight_sums
+    init_acc = -zp_in * dense_weights.sum(axis=1, dtype=np.float64).astype(np.int64)
     if qlayer.bias is not None:
         init_acc = init_acc + np.asarray(qlayer.bias, dtype=np.int64)
 
     multipliers = np.broadcast_to(
         np.asarray(qlayer.output_multipliers, dtype=np.float64), (plan.out_channels,)
     ).copy()
-
-    # Reconstruct the dense (masked) weight matrix from the instruction
-    # stream for the turbo mode's fused matrix product; skipped operands stay
-    # zero, exactly as they contribute nothing in the straight-line code.
-    dense_weights = np.zeros((plan.out_channels, plan.operands_per_channel), dtype=np.int64)
-    for channel, (idx, wts) in enumerate(zip(channel_indices, channel_weights)):
-        dense_weights[channel, idx] = wts
 
     return LayerProgram(
         name=plan.name,
@@ -122,8 +117,6 @@ def _lower_plan(plan: LayerPlan, qlayer: QConv2D | QDense) -> LayerProgram:
         multipliers=multipliers,
         activation_min=int(qlayer.activation_min),
         activation_max=int(qlayer.activation_max),
-        channel_indices=channel_indices,
-        channel_weights=channel_weights,
         dense_weights=dense_weights,
         retained_operands=plan.retained,
     )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.kernels import (
@@ -22,8 +22,13 @@ from repro.kernels import (
     softmax_s8,
     unpack_weight_pair,
 )
-from repro.kernels.accumulate import exact_matmul_dtype, integer_matmul
+from repro.core.unpacking import unpack_layer
+from repro.kernels.accumulate import exact_matmul_dtype, prepare_weights
 from repro.kernels.smlad import smlad_dot
+from repro.quant.qlayers import QConv2D, QDense
+from repro.quant.schemes import QuantizationParams
+from repro.vm.interpreter import execute_layer_interp, execute_layer_turbo
+from repro.vm.lower import lower_layer
 
 
 def naive_convolve_s8(x, weights, bias, in_zp, out_zp, multipliers, stride, padding, act_min, act_max, mask=None):
@@ -50,6 +55,22 @@ def naive_convolve_s8(x, weights, bias, in_zp, out_zp, multipliers, stride, padd
                         acc += int(bias[c])
                     value = int(np.rint(acc * multipliers[c])) + out_zp
                     out[b, i, j, c] = np.clip(value, act_min, act_max)
+    return out.astype(np.int8)
+
+
+def naive_fully_connected_s8(x, weights, bias, in_zp, out_zp, multipliers, act_min, act_max, mask=None):
+    """Loop-based reference of the s8 fully-connected layer (weights ``(in, out)``)."""
+    w_mat = weights.T.astype(np.int64)
+    if mask is not None:
+        w_mat = w_mat * mask
+    out = np.zeros((x.shape[0], w_mat.shape[0]), dtype=np.int64)
+    for b in range(x.shape[0]):
+        for c in range(w_mat.shape[0]):
+            acc = int(((x[b].astype(np.int64) - in_zp) * w_mat[c]).sum())
+            if bias is not None:
+                acc += int(bias[c])
+            value = int(np.rint(acc * multipliers[c])) + out_zp
+            out[b, c] = np.clip(value, act_min, act_max)
     return out.astype(np.int8)
 
 
@@ -92,15 +113,24 @@ class TestAccumulate:
         assert exact_matmul_dtype(10) == np.float32
         assert exact_matmul_dtype(5000) == np.float64
 
+    @staticmethod
+    def _assert_blas_product_exact(a, b):
+        """``a @ b.T`` on ``prepare_weights``' compute dtype equals the int64 product."""
+        w, _ = prepare_weights(b, None, 0, None)
+        np.testing.assert_array_equal(
+            a.astype(w.dtype) @ w.T, a.astype(np.int64) @ b.astype(np.int64).T
+        )
+
     def test_integer_matmul_exact_large_k(self, rng):
-        a = rng.integers(-128, 128, size=(4, 3000)).astype(np.int64)
-        b = rng.integers(-127, 128, size=(3000, 5)).astype(np.int64)
-        np.testing.assert_array_equal(integer_matmul(a, b), a @ b)
+        # -128/-127 operands: the K=3000 sums pass 2**24 and need float64.
+        a = rng.choice(np.array([-128, -127], dtype=np.int8), size=(4, 3000))
+        b = rng.choice(np.array([-128, -127], dtype=np.int8), size=(5, 3000))
+        self._assert_blas_product_exact(a, b)
 
     def test_integer_matmul_exact_small_k(self, rng):
-        a = rng.integers(-128, 128, size=(7, 64)).astype(np.int64)
-        b = rng.integers(-127, 128, size=(64, 3)).astype(np.int64)
-        np.testing.assert_array_equal(integer_matmul(a, b), a @ b)
+        a = rng.integers(-128, 128, size=(7, 64), dtype=np.int8)
+        b = rng.integers(-127, 128, size=(3, 64), dtype=np.int8)
+        self._assert_blas_product_exact(a, b)
 
 
 class TestIm2colS8:
@@ -225,6 +255,149 @@ class TestFullyConnectedS8:
             fully_connected_s8(x[:, :4], weights, None, 0, 0, np.ones(3))
         with pytest.raises(ValueError):
             fully_connected_s8(x[0], weights, None, 0, 0, np.ones(3))
+
+
+def _int8(rng, shape, extreme):
+    """Random int8 values; ``extreme`` draws only -128/-127, the largest products."""
+    if extreme:
+        return rng.choice(np.array([-128, -127], dtype=np.int8), size=shape)
+    return rng.integers(-128, 128, size=shape, dtype=np.int8)
+
+
+def _layer_constants(rng, out_c, k, has_bias, dyadic, extreme):
+    """Random int8 weights, optional bias and per-channel multipliers sized to K.
+
+    The multipliers keep most outputs inside the int8 range; ``dyadic``
+    rounds them to powers of two, so ``rint`` meets exact .5 ties.
+    """
+    weights = _int8(rng, (out_c, k), extreme)
+    bias = rng.integers(-50_000, 50_000, size=out_c) if has_bias else None
+    multipliers = rng.uniform(0.5, 2.0, size=out_c) * 40.0 / (np.sqrt(k) * 5500.0)
+    if dyadic:
+        multipliers = 2.0 ** np.round(np.log2(multipliers))
+    return weights, bias, multipliers
+
+
+def _random_mask(rng, out_c, k, masked, dead_rows):
+    """A random retention mask (``None`` when unmasked) with ``dead_rows`` all-false rows."""
+    if not masked:
+        return None
+    mask = rng.random((out_c, k)) < rng.uniform(0.1, 0.9)
+    mask[rng.permutation(out_c)[:dead_rows]] = False
+    return mask
+
+
+def _qparams(zero_point, scale=1.0):
+    return QuantizationParams(scale=scale, zero_point=zero_point)
+
+
+_LAYER_SETTINGS = dict(
+    extreme=st.booleans(),
+    zero_points=st.tuples(st.integers(-128, 127), st.integers(-128, 127)),
+    fused_relu=st.booleans(),
+    has_bias=st.booleans(),
+    dyadic=st.booleans(),
+    masked=st.booleans(),
+    dead_rows=st.integers(0, 4),
+)
+
+
+class TestDifferentialMAC:
+    """Every int8 MAC path agrees bit for bit with the loop reference.
+
+    The paths are the loop reference, the kernel (``QLayer.forward``), the VM
+    interpreter and VM turbo on ``lower_layer`` of the same layer and mask.
+    K is drawn on both sides of the float32/float64 switch of
+    :func:`exact_matmul_dtype` (K >= 1024 needs float64).
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        stride=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        padding=st.tuples(st.integers(0, 1), st.integers(0, 1)),
+        extent=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+        batch=st.integers(1, 2),
+        out_c=st.integers(1, 4),
+        in_c=st.integers(1, 4),
+        large_k=st.booleans(),
+        **_LAYER_SETTINGS,
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_conv_paths_agree(
+        self, seed, kernel, stride, padding, extent, batch, out_c, in_c, large_k, extreme,
+        zero_points, fused_relu, has_bias, dyadic, masked, dead_rows,
+    ):
+        rng = np.random.default_rng(seed)
+        kh, kw = kernel
+        padding = (min(padding[0], kh - 1), min(padding[1], kw - 1))
+        if large_k:  # K lands within a few kernel areas below or above 1024
+            in_c = 1024 // (kh * kw) + in_c - 2
+        k = kh * kw * in_c
+        in_zp, out_zp = zero_points
+        weights, bias, multipliers = _layer_constants(rng, out_c, k, has_bias, dyadic, extreme)
+        qlayer = QConv2D(
+            "conv", weights.reshape(out_c, kh, kw, in_c), bias, _qparams(in_zp),
+            _qparams(0, multipliers), _qparams(out_zp), stride, padding, fused_relu=fused_relu,
+        )
+        mask = _random_mask(rng, out_c, k, masked, min(dead_rows, out_c))
+        x = _int8(rng, (batch, kh + extent[0], kw + extent[1], in_c), extreme)
+
+        expected = naive_convolve_s8(
+            x, qlayer.weights, bias, in_zp, out_zp, qlayer.output_multipliers, stride, padding,
+            qlayer.activation_min, 127, mask=mask,
+        )
+        program = lower_layer(qlayer, unpack_layer(qlayer), mask)
+        np.testing.assert_array_equal(qlayer.forward(x, weight_mask=mask), expected)
+        np.testing.assert_array_equal(execute_layer_interp(program, x), expected)
+        np.testing.assert_array_equal(execute_layer_turbo(program, x), expected)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        batch=st.integers(1, 4),
+        in_features=st.one_of(st.integers(1, 48), st.integers(1016, 1032)),
+        out_features=st.integers(1, 5),
+        **_LAYER_SETTINGS,
+    )
+    # The exactness cases of the former integer_matmul helper: K=64 stays in
+    # float32; K=3000 of -128/-127 products sums past 2**24 and needs float64.
+    @example(seed=0, batch=7, in_features=64, out_features=3, extreme=False, zero_points=(0, 0),
+             fused_relu=False, has_bias=False, dyadic=False, masked=False, dead_rows=0)
+    @example(seed=1, batch=4, in_features=3000, out_features=5, extreme=True, zero_points=(-128, 5),
+             fused_relu=True, has_bias=True, dyadic=False, masked=False, dead_rows=0)
+    @settings(max_examples=40, deadline=None)
+    def test_dense_paths_agree(
+        self, seed, batch, in_features, out_features, extreme,
+        zero_points, fused_relu, has_bias, dyadic, masked, dead_rows,
+    ):
+        rng = np.random.default_rng(seed)
+        in_zp, out_zp = zero_points
+        weights, bias, multipliers = _layer_constants(
+            rng, out_features, in_features, has_bias, dyadic, extreme
+        )
+        qlayer = QDense(
+            "fc", weights.T, bias, _qparams(in_zp), _qparams(0, multipliers), _qparams(out_zp),
+            fused_relu=fused_relu,
+        )
+        mask = _random_mask(rng, out_features, in_features, masked, min(dead_rows, out_features))
+        x = _int8(rng, (batch, in_features), extreme)
+
+        # The BLAS accumulation in the exact compute dtype equals the int64 one.
+        w, init = prepare_weights(weights, mask, in_zp, bias)
+        retained = weights.astype(np.int64) * (True if mask is None else mask)
+        np.testing.assert_array_equal(x.astype(w.dtype) @ w.T, x.astype(np.int64) @ retained.T)
+        np.testing.assert_array_equal(
+            init, (0 if bias is None else bias) - in_zp * retained.sum(axis=1)
+        )
+
+        expected = naive_fully_connected_s8(
+            x, qlayer.weights, bias, in_zp, out_zp, qlayer.output_multipliers,
+            qlayer.activation_min, 127, mask=mask,
+        )
+        program = lower_layer(qlayer, unpack_layer(qlayer), mask)
+        np.testing.assert_array_equal(qlayer.forward(x, weight_mask=mask), expected)
+        np.testing.assert_array_equal(execute_layer_interp(program, x), expected)
+        np.testing.assert_array_equal(execute_layer_turbo(program, x), expected)
 
 
 class TestPoolingS8:

@@ -869,6 +869,56 @@ class TestRequestBodyValidation:
         assert status == 200 and len(payload["classes"]) == 1
 
 
+class TestRouterReplicaLinks:
+    """The router's keep-alive links to a replica close with their client connection."""
+
+    @staticmethod
+    def _wait_closed(links, timeout_s: float = 3.0) -> bool:
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            if all(link.sock is None for link in links):
+                return True
+            time.sleep(0.02)
+        return False
+
+    def test_links_close_with_connection_and_on_stop(self, deployment, small_split, monkeypatch):
+        opened = []
+
+        class TrackedConnection(http.client.HTTPConnection):
+            def connect(self):
+                super().connect()
+                opened.append(self)
+
+        monkeypatch.setattr(http.client, "HTTPConnection", TrackedConnection)
+        body = json.dumps({"inputs": small_split.test.images[0].tolist()}).encode()
+        headers = {"Content-Type": "application/json"}
+        with Scheduler(deployment, policy="fixed", max_wait_ms=1.0) as scheduler:
+            with PredictionServer(scheduler, port=0) as server:
+                router = FleetRouter(
+                    [SimpleNamespace(name="0", url=server.url)], health_interval_s=60.0
+                ).start()
+                try:
+                    def links():
+                        return [link for link in opened if link.port == server.port]
+
+                    client = http.client.HTTPConnection(router.host, router.port, timeout=10)
+                    client.request("POST", "/predict", body=body, headers=headers)
+                    assert client.getresponse().read()
+                    assert len(links()) == 1 and links()[0].sock is not None
+                    client.close()
+                    assert self._wait_closed(links())
+
+                    # A connection still open at stop() loses its link too.
+                    client = http.client.HTTPConnection(router.host, router.port, timeout=10)
+                    client.request("POST", "/predict", body=body, headers=headers)
+                    assert client.getresponse().read()
+                    assert len(links()) == 2 and links()[1].sock is not None
+                finally:
+                    router.stop()
+                client.close()
+                assert all(link.sock is None for link in links())
+
+
 # --------------------------------------------------------------------------- workflow integration
 class TestServeStage:
     def test_serve_stage_from_points_is_cached(self, tiny_qmodel, small_split):

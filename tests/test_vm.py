@@ -516,14 +516,21 @@ class TestVerifyHarness:
         total = sum(layer.total_operands for layer in tiny_unpacked.values())
         assert verification.retained_fraction >= other_operands / total
 
-    def test_detects_divergence(self, tiny_qmodel, tiny_unpacked, small_split):
-        """Corrupting one hard-wired weight must flip the design to a mismatch."""
-        from repro.vm.verify import verify_design
+    # The init shift spans a few requantized output steps of the first conv.
+    @pytest.mark.parametrize(
+        "field,index,delta",
+        [("dense_weights", (0, 0), 64), ("init_acc", (0,), 1024)],
+        ids=["weight", "init"],
+    )
+    def test_detects_divergence(self, tiny_qmodel, tiny_unpacked, small_split, field, index, delta):
+        """Corrupting one lowered constant must flip the design to a mismatch.
 
-        config = ApproxConfig.exact(tiny_qmodel.name)
+        Turbo reads its weights and init from the program, never from the
+        quantized layer, so either corruption must show.
+        """
         program = lower_model(tiny_qmodel, tiny_unpacked)
         name = next(iter(tiny_unpacked))
-        program[name].dense_weights[0, 0] += 64  # corrupt the turbo path
+        getattr(program[name], field)[index] += delta  # corrupt the turbo path
         images = small_split.test.images[:4]
         q_in = tiny_qmodel.quantize_input(images)
         machine = VirtualMachine(tiny_qmodel, program=program, mode="turbo")
