@@ -136,7 +136,7 @@ def cmd_explore(args: argparse.Namespace) -> int:
     print(format_table(rows, columns=["label", "accuracy", "conv_mac_reduction", "total_macs"],
                        title="Pareto-optimal designs"))
     out = Path(args.out)
-    save_json(out, {"baseline_accuracy": result.baseline_accuracy, "points": result.dse.as_table()})
+    save_json(out, result.dse.as_dict())
     design = result.select(args.loss)
     if design is None:
         print(f"no design satisfies an accuracy-loss budget of {args.loss}")

@@ -176,6 +176,10 @@ class DSEResult:
     baseline_total_macs: int
     baseline_conv_macs: int
     config: DSEConfig
+    #: Layer forwards the prefix-sharing evaluation walk executed.
+    layer_forwards: int = 0
+    #: Layer forwards a design-by-design evaluation would have run.
+    naive_layer_forwards: int = 0
 
     def pareto_points(self) -> List[DesignPoint]:
         """Pareto-optimal designs (maximise accuracy and conv-MAC reduction)."""
@@ -202,6 +206,15 @@ class DSEResult:
     def as_table(self) -> List[Dict[str, object]]:
         """All design points as plain dicts (for reports/JSON)."""
         return [p.as_dict() for p in self.points]
+
+    def as_dict(self) -> Dict[str, object]:
+        """The saved DSE: baseline, the walk's layer-forward counts and every point."""
+        return {
+            "baseline_accuracy": self.baseline_accuracy,
+            "layer_forwards": self.layer_forwards,
+            "naive_layer_forwards": self.naive_layer_forwards,
+            "points": self.as_table(),
+        }
 
 
 def _generate_layer_subsets(layer_names: Sequence[str], mode: str) -> List[Tuple[str, ...]]:
@@ -470,4 +483,6 @@ def exhaustive_sweep(
         baseline_total_macs=qmodel.total_macs(),
         baseline_conv_macs=qmodel.conv_macs(),
         config=dse_config,
+        layer_forwards=evaluation.layer_forwards,
+        naive_layer_forwards=evaluation.naive_layer_forwards,
     )

@@ -35,11 +35,13 @@ def pareto_front(
         if not dominated:
             front.append(candidate)
     # Deduplicate identical objective pairs, keep stable ordering by objective_a.
+    # Only exact duplicates go: two pairs that differ at all, however little,
+    # do not dominate each other and both stay on the front.
     front.sort(key=lambda p: (objective_a(p), objective_b(p)))
     deduped: List[T] = []
     seen = set()
     for point in front:
-        key = (round(objective_a(point), 12), round(objective_b(point), 12))
+        key = (objective_a(point), objective_b(point))
         if key not in seen:
             seen.add(key)
             deduped.append(point)

@@ -55,6 +55,10 @@ class GreedySearchResult:
     conv_mac_reduction: float
     baseline_accuracy: float
     steps: List[GreedyStep] = field(default_factory=list)
+    #: Layer forwards the iterations' prefix-sharing walks executed, and
+    #: what design-by-design evaluation would have run.
+    layer_forwards: int = 0
+    naive_layer_forwards: int = 0
 
     @property
     def accuracy_loss(self) -> float:
@@ -128,6 +132,7 @@ def greedy_per_layer_search(
 
     current_accuracy, current_reduction = baseline_accuracy, 0.0
     steps: List[GreedyStep] = []
+    layer_forwards = naive_layer_forwards = 0
 
     for _ in range(max_steps):
         # Every one-layer move of this iteration goes to the prefix-sharing
@@ -144,6 +149,8 @@ def greedy_per_layer_search(
             )
             trials.append((name, next_level, masks))
         evaluation = evaluate_designs(qmodel, [masks for _, _, masks in trials], eval_images, eval_labels)
+        layer_forwards += evaluation.layer_forwards
+        naive_layer_forwards += evaluation.naive_layer_forwards
         best_move = None
         for (name, next_level, masks), accuracy in zip(trials, evaluation.accuracies):
             if accuracy < floor:
@@ -188,6 +195,8 @@ def greedy_per_layer_search(
         conv_mac_reduction=current_reduction,
         baseline_accuracy=baseline_accuracy,
         steps=steps,
+        layer_forwards=layer_forwards,
+        naive_layer_forwards=naive_layer_forwards,
     )
 
 
@@ -355,6 +364,8 @@ class GreedyPerLayerSearch(SearchStrategy):
             baseline_total_macs=qmodel.total_macs(),
             baseline_conv_macs=qmodel.conv_macs(),
             config=dse_config,
+            layer_forwards=greedy.layer_forwards,
+            naive_layer_forwards=greedy.naive_layer_forwards,
         )
 
 
@@ -399,4 +410,6 @@ class LatencyAwareSearch(SearchStrategy):
             baseline_total_macs=sweep.baseline_total_macs,
             baseline_conv_macs=sweep.baseline_conv_macs,
             config=sweep.config,
+            layer_forwards=sweep.layer_forwards,
+            naive_layer_forwards=sweep.naive_layer_forwards,
         )

@@ -5,7 +5,11 @@ int8 MAC core of :mod:`repro.kernels.accumulate` (exact matrix product with
 int32-equivalent accumulation, bias addition, per-channel requantization,
 activation clamping and saturation to int8), the same core
 :func:`~repro.kernels.fully_connected_s8.fully_connected_s8` and the VM's
-turbo mode run.
+turbo mode run.  Like ``arm_convolve_s8``, which never holds more than a
+small im2col buffer, it gathers and multiplies the patches one block of
+images at a time (:func:`~repro.kernels.accumulate.convolve_blocked`, sized
+by :data:`~repro.kernels.accumulate.PATCH_BLOCK_BYTES`), so the batch's
+whole patch matrix is never materialised.
 
 Two features go beyond the stock kernel and exist for the paper's framework:
 
@@ -24,9 +28,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from repro.kernels.accumulate import accumulate_requantize, prepare_weights
+from repro.kernels.accumulate import convolve_blocked, prepare_weights
 from repro.kernels.cycle_counters import CycleCounter, KernelStats
-from repro.kernels.im2col import im2col_s8
 from repro.nn.functional import conv_output_shape
 
 
@@ -88,13 +91,10 @@ def convolve_s8(
     k = kh * kw * in_c
 
     w, init = prepare_weights(weights.reshape(out_c, k), weight_mask, input_zero_point, bias)
-    # The patches are widened straight into the exact compute dtype of the
-    # weights: no intermediate int32 patch matrix.
-    cols = im2col_s8(x, (kh, kw), stride, padding, input_zero_point, dtype=w.dtype)
-    out = accumulate_requantize(
-        cols.reshape(n * out_h * out_w, k), w, init, output_multipliers,
+    out = convolve_blocked(
+        x, (kh, kw), stride, padding, input_zero_point, w, init, output_multipliers,
         output_zero_point, activation_min, activation_max,
-    ).reshape(n, out_h, out_w, out_c)
+    )
 
     if counter is not None:
         retained = out_c * k if weight_mask is None else int(np.count_nonzero(weight_mask))

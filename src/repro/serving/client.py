@@ -10,10 +10,11 @@ endpoints.
 
 from __future__ import annotations
 
+import io
 import json
 import urllib.error
 import urllib.request
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -97,12 +98,29 @@ class HTTPClient:
         self.base_url = base_url.rstrip("/")
         self.timeout_s = float(timeout_s)
 
+    def _open(self, request: Union[str, urllib.request.Request]):
+        """``urlopen`` whose :class:`~urllib.error.HTTPError` owns no connection.
+
+        urllib's ``HTTPError`` *is* the open error response, so an error a
+        caller keeps (or never reads) pins the socket until garbage
+        collection.  The body is buffered and the connection closed before
+        re-raising; ``code``, ``headers`` and ``read()`` work as before.
+        """
+        try:
+            return urllib.request.urlopen(request, timeout=self.timeout_s)
+        except urllib.error.HTTPError as error:
+            with error:
+                body = error.read()
+            raise urllib.error.HTTPError(
+                error.url, error.code, error.msg, error.headers, io.BytesIO(body)
+            ) from None
+
     def _get(self, path: str) -> Dict[str, Any]:
-        with urllib.request.urlopen(self.base_url + path, timeout=self.timeout_s) as response:
+        with self._open(self.base_url + path) as response:
             return json.loads(response.read().decode("utf-8"))
 
     def _get_text(self, path: str) -> str:
-        with urllib.request.urlopen(self.base_url + path, timeout=self.timeout_s) as response:
+        with self._open(self.base_url + path) as response:
             return response.read().decode("utf-8")
 
     def _post(self, path: str, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -118,7 +136,7 @@ class HTTPClient:
             headers={"Content-Type": "application/json"},
             method="POST",
         )
-        with urllib.request.urlopen(request, timeout=self.timeout_s) as response:
+        with self._open(request) as response:
             return json.loads(response.read().decode("utf-8")), dict(response.headers)
 
     # ------------------------------------------------------------------ endpoints

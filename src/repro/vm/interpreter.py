@@ -10,7 +10,8 @@ Two execution modes share the same semantics:
   product over the weight matrix rebuilt from the instruction stream, with
   the epilogue (requantize/clamp/store) batched across all channels.  It
   runs the int8 MAC core of :mod:`repro.kernels.accumulate` -- the one the
-  simulation kernels run -- on the program's own weights and init.
+  simulation kernels run -- on the program's own weights and init; conv
+  programs go through the same cache-blocked loop as the conv kernel.
 
 The interpreter accumulates in int64 (the generated code's int32
 accumulators never overflow int64); turbo accumulates in a float dtype that
@@ -35,7 +36,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.isa.trace import FLASH_WAIT_PER_WORD, InstructionTrace
-from repro.kernels.accumulate import accumulate_requantize
+from repro.kernels.accumulate import accumulate_requantize, convolve_blocked
 from repro.kernels.im2col import im2col_s8
 from repro.nn.functional import conv_output_shape
 from repro.quant.qmodel import QuantizedModel
@@ -147,18 +148,23 @@ class ExecutionTrace:
         }
 
 
+def _check_conv_input(program: LayerProgram, x: np.ndarray) -> None:
+    """Reject an input a conv program cannot run on."""
+    if x.ndim != 4:
+        raise VMError(f"{program.name}: conv program expects NHWC input, got shape {x.shape}")
+    if x.shape[3] != program.in_channels:
+        raise VMError(
+            f"{program.name}: expected {program.in_channels} input channels, got {x.shape[3]}"
+        )
+
+
 def _gather_patches(
     program: LayerProgram, x: np.ndarray, dtype: np.dtype = np.int64
 ) -> Tuple[np.ndarray, int, Tuple[int, ...]]:
     """Flattened operand matrix ``(positions, K)`` in ``dtype`` plus output geometry."""
     if program.is_conv:
-        if x.ndim != 4:
-            raise VMError(f"{program.name}: conv program expects NHWC input, got shape {x.shape}")
-        n, in_h, in_w, in_c = x.shape
-        if in_c != program.in_channels:
-            raise VMError(
-                f"{program.name}: expected {program.in_channels} input channels, got {in_c}"
-            )
+        _check_conv_input(program, x)
+        n, in_h, in_w, _ = x.shape
         out_h, out_w = conv_output_shape(
             in_h, in_w, program.kernel_size, program.stride, program.padding
         )
@@ -229,8 +235,25 @@ def execute_layer_turbo(program: LayerProgram, x: np.ndarray) -> np.ndarray:
     kernels compares two independent sources.  The arithmetic is the shared
     exact int8 MAC core (:func:`~repro.kernels.accumulate.
     accumulate_requantize`), bit-identical to the instruction-granular
-    interpreter.
+    interpreter.  Conv programs run blocked over the batch
+    (:func:`~repro.kernels.accumulate.convolve_blocked`), exactly as the
+    conv kernel does; the interpreter keeps the whole-batch int64 patches.
     """
+    if program.is_conv:
+        _check_conv_input(program, x)
+        return convolve_blocked(
+            x,
+            program.kernel_size,
+            program.stride,
+            program.padding,
+            program.input_zero_point,
+            program.dense_weights,
+            program.init_acc,
+            program.multipliers,
+            program.output_zero_point,
+            program.activation_min,
+            program.activation_max,
+        )
     patches, _, out_shape = _gather_patches(program, x, dtype=program.dense_weights.dtype)
     out_flat = accumulate_requantize(
         patches,

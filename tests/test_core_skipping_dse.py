@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core import (
@@ -175,26 +175,46 @@ class TestPareto:
         with pytest.raises(ValueError):
             select_by_accuracy_loss(points, 0.9, -0.1, lambda p: p["y"], lambda p: p["x"])
 
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 1, allow_nan=False), st.floats(0, 1, allow_nan=False)),
-            min_size=1,
-            max_size=30,
-        )
-    )
-    @settings(max_examples=50, deadline=None)
-    def test_front_members_are_not_dominated_property(self, pairs):
+
+_OBJECTIVE = st.floats(0, 1, allow_nan=False)
+_POINT_SETS = st.lists(st.tuples(_OBJECTIVE, _OBJECTIVE), min_size=0, max_size=30)
+
+
+def _dominates(a, b):
+    return a["x"] >= b["x"] and a["y"] >= b["y"] and (a["x"] > b["x"] or a["y"] > b["y"])
+
+
+class TestParetoProperties:
+    """Dominance and selection invariants of ``core/pareto.py`` over random point sets."""
+
+    @given(_POINT_SETS)
+    @example([(0.5, 0.3), (0.5 + 1e-13, 0.3 - 1e-13)])  # a near-tie: neither dominates
+    @settings(max_examples=200, deadline=None)
+    def test_front_keeps_exactly_the_non_dominated_pairs(self, pairs):
         points = [{"x": x, "y": y} for x, y in pairs]
         front = pareto_front(points, lambda p: p["x"], lambda p: p["y"])
-        assert front, "front of a non-empty set is non-empty"
+        kept = {id(p) for p in front}
         for member in front:
-            for other in points:
-                strictly_better = (
-                    other["x"] >= member["x"]
-                    and other["y"] >= member["y"]
-                    and (other["x"] > member["x"] or other["y"] > member["y"])
-                )
-                assert not strictly_better
+            assert not any(_dominates(other, member) for other in points)
+        for dropped in (p for p in points if id(p) not in kept):
+            # Dominated by a kept point, or a duplicate of a kept pair.
+            assert any(
+                _dominates(member, dropped) or (member["x"], member["y"]) == (dropped["x"], dropped["y"])
+                for member in front
+            )
+        assert [p["x"] for p in front] == sorted(p["x"] for p in front)
+
+    @given(_POINT_SETS, _OBJECTIVE, st.floats(0, 0.5, allow_nan=False))
+    @settings(max_examples=200, deadline=None)
+    def test_selection_takes_the_largest_gain_within_budget(self, pairs, baseline, budget):
+        points = [{"x": x, "y": y} for x, y in pairs]
+        best = select_by_accuracy_loss(points, baseline, budget, lambda p: p["y"], lambda p: p["x"])
+        feasible = [p for p in points if p["y"] >= baseline - budget]
+        if not feasible:
+            assert best is None
+            return
+        assert best in feasible
+        assert best["x"] == max(p["x"] for p in feasible)
 
 
 class TestDSE:
@@ -382,6 +402,24 @@ class TestPrefixSharingEvaluator:
         assert evaluation.layer_forwards < evaluation.naive_layer_forwards
         expected = [tiny_qmodel.evaluate_accuracy(images, labels, masks=m) for m in mask_sets]
         assert evaluation.accuracies == expected
+
+    def test_result_reports_layer_forwards(self, tiny_qmodel, tiny_significance, eval_set):
+        images, labels = eval_set
+        results = {
+            mode: run_dse(
+                tiny_qmodel, tiny_significance, images, labels,
+                dse_config=DSEConfig(tau_values=[0.0, 0.05, 0.2], layer_subsets=mode),
+            )
+            for mode in ("all", "exhaustive")
+        }
+        # Every "all" design masks the first layer differently: nothing to share.
+        assert results["all"].layer_forwards == results["all"].naive_layer_forwards > 0
+        exhaustive = results["exhaustive"]
+        assert 0 < exhaustive.layer_forwards < exhaustive.naive_layer_forwards
+        saved = exhaustive.as_dict()
+        assert saved["layer_forwards"] == exhaustive.layer_forwards
+        assert saved["naive_layer_forwards"] == exhaustive.naive_layer_forwards
+        assert saved["points"] == exhaustive.as_table()
 
     def test_identical_designs_run_once(self, tiny_qmodel, eval_set):
         images, labels = eval_set

@@ -21,6 +21,8 @@ class TestGreedySearch:
         assert result.accuracy >= result.baseline_accuracy - 0.05 - 1e-9
         assert 0.0 <= result.conv_mac_reduction <= 1.0
         assert result.accuracy_loss == pytest.approx(result.baseline_accuracy - result.accuracy)
+        # Each iteration's trials share the layers before the first one they move.
+        assert 0 < result.layer_forwards <= result.naive_layer_forwards
 
     def test_zero_budget_still_returns_valid_config(self, tiny_qmodel, tiny_significance, small_split):
         images, labels = small_split.test.images[:64], small_split.test.labels[:64]

@@ -23,6 +23,7 @@ from repro.kernels import (
     unpack_weight_pair,
 )
 from repro.core.unpacking import unpack_layer
+from repro.kernels import accumulate
 from repro.kernels.accumulate import exact_matmul_dtype, prepare_weights
 from repro.kernels.smlad import smlad_dot
 from repro.quant.qlayers import QConv2D, QDense
@@ -398,6 +399,56 @@ class TestDifferentialMAC:
         np.testing.assert_array_equal(qlayer.forward(x, weight_mask=mask), expected)
         np.testing.assert_array_equal(execute_layer_interp(program, x), expected)
         np.testing.assert_array_equal(execute_layer_turbo(program, x), expected)
+
+
+class TestBlockedConvolution:
+    """Block boundaries of the blocked conv loop change no bit on any path.
+
+    ``PATCH_BLOCK_BYTES`` is shrunk to a few images (a batch that is not a
+    multiple of the block) or below one image (one image per block), on both
+    sides of the float32/float64 switch.  The VM interpreter keeps its
+    whole-batch int64 patches and is the unblocked reference.
+    """
+
+    @pytest.mark.parametrize("in_c", [3, 114])  # K = 27 (float32) and 1026 (float64)
+    @pytest.mark.parametrize("images_per_block", [3, 0])  # 0: budget below one image
+    def test_paths_agree_and_blocks_bound_im2col(self, rng, monkeypatch, in_c, images_per_block):
+        batch, out_c, kernel, stride, padding, in_zp, out_zp = 7, 5, (3, 3), (1, 2), (1, 1), -3, 4
+        k = kernel[0] * kernel[1] * in_c
+        weights, bias, multipliers = _layer_constants(rng, out_c, k, True, False, False)
+        qlayer = QConv2D(
+            "conv", weights.reshape(out_c, *kernel, in_c), bias, _qparams(in_zp),
+            _qparams(0, multipliers), _qparams(out_zp), stride, padding, fused_relu=True,
+        )
+        mask = _random_mask(rng, out_c, k, True, 1)
+        x = _int8(rng, (batch, 6, 7, in_c), False)
+        out_h, out_w, _ = qlayer.output_shape(x.shape[1:])
+        image_bytes = out_h * out_w * k * exact_matmul_dtype(k).itemsize
+        budget = images_per_block * image_bytes if images_per_block else image_bytes - 1
+        monkeypatch.setattr(accumulate, "PATCH_BLOCK_BYTES", budget)
+        gathered = []
+
+        def spy(images, *args, **kwargs):
+            gathered.append(images.shape[0])
+            return im2col_s8(images, *args, **kwargs)
+
+        monkeypatch.setattr(accumulate, "im2col_s8", spy)
+
+        expected = naive_convolve_s8(
+            x, qlayer.weights, bias, in_zp, out_zp, qlayer.output_multipliers, stride, padding,
+            qlayer.activation_min, 127, mask=mask,
+        )
+        out = convolve_s8(
+            x, qlayer.weights, bias, in_zp, out_zp, qlayer.output_multipliers, stride, padding,
+            qlayer.activation_min, 127, weight_mask=mask,
+        )
+        program = lower_layer(qlayer, unpack_layer(qlayer), mask)
+        np.testing.assert_array_equal(out, expected)
+        np.testing.assert_array_equal(execute_layer_interp(program, x), expected)
+        np.testing.assert_array_equal(execute_layer_turbo(program, x), expected)
+        # convolve_s8 then turbo, each one im2col call per block, none over a block.
+        blocks = [3, 3, 1] if images_per_block else [1] * batch
+        assert gathered == blocks * 2
 
 
 class TestPoolingS8:

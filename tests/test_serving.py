@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import socket
@@ -9,6 +10,7 @@ import threading
 import time
 import urllib.error
 import urllib.request
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
@@ -729,6 +731,29 @@ class TestHTTPServer:
                 assert _post_json(server.url, b"[1, 2]")[0] == 400
                 status, payload = _post_json(server.url, {"inputs": [[1, 2], [3, 4]]})
                 assert status == 400 and "shape" in payload["error"]
+
+    def test_client_http_error_releases_its_connection(self, deployment):
+        bad = np.zeros((3, 3, 1), dtype=np.float32)
+        with Scheduler(deployment, policy="fixed", max_batch_size=4, max_wait_ms=1) as scheduler:
+            with PredictionServer(scheduler, port=0) as server:
+                client = HTTPClient(server.url)
+                with pytest.raises(urllib.error.HTTPError) as failure:
+                    client.predict(bad)
+                assert failure.value.code == 400
+                assert "shape" in json.loads(failure.value.read())["error"]
+
+                def keep_unread_error():
+                    # The bound error and this frame form a traceback cycle,
+                    # so only the cyclic collector releases the error.
+                    with pytest.raises(urllib.error.HTTPError) as kept:
+                        client.predict(bad)
+                    assert kept.value.code == 400
+
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always", ResourceWarning)
+                    keep_unread_error()
+                    gc.collect()
+        assert [str(w.message) for w in caught if w.category is ResourceWarning] == []
 
     def test_rejects_bad_request_fields(self, deployment):
         sample = np.zeros(deployment.qmodel.input_shape, np.float32).tolist()
