@@ -32,6 +32,8 @@ setup(
     license="MIT",
     packages=find_packages("src"),
     package_dir={"": "src"},
+    # The C source of the native kernels, compiled on first use.
+    package_data={"repro.kernels": ["native.c"]},
     python_requires=">=3.10",
     install_requires=["numpy>=1.22"],
     extras_require={

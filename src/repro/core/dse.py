@@ -32,6 +32,7 @@ from repro.core.significance import SignificanceResult
 from repro.core.skipping import Granularity, conv_mac_reduction
 from repro.core.unpacking import UnpackedLayer
 from repro.isa.profiles import BoardProfile
+from repro.kernels.native import load_native
 from repro.quant.qmodel import QuantizedModel
 from repro.quant.schemes import dequantize
 from repro.registry import SEARCH_STRATEGIES
@@ -340,6 +341,7 @@ def evaluate_designs(
         for index, masks in enumerate(mask_sets)
     ]
     designs.sort(key=lambda d: d[1])
+    load_native()  # built once here, so forked pool workers inherit it instead of each building
     results = parallel_map(
         _walk_designs,
         _subtrees(designs),

@@ -39,6 +39,7 @@ from repro.nn.optim import Adam
 from repro.nn.trainer import Trainer
 from repro.quant.qmodel import QuantizedModel
 from repro.quant.quantizer import quantize_model
+from repro.utils.cache import default_cache_dir
 from repro.utils.logging import get_logger
 
 logger = get_logger("evaluation.context")
@@ -138,14 +139,6 @@ def get_scale(name: Optional[str] = None) -> ScaleConfig:
         return _SCALES[name]
     except KeyError as exc:
         raise ValueError(f"unknown scale {name!r}; choices: {sorted(_SCALES)}") from exc
-
-
-def default_cache_dir() -> Path:
-    """Directory used for on-disk artefact caching."""
-    env = os.environ.get("REPRO_CACHE_DIR")
-    if env:
-        return Path(env)
-    return Path(__file__).resolve().parents[3] / ".repro_cache"
 
 
 @dataclass

@@ -18,10 +18,17 @@ of CMSIS-NN's ``arm_convolve_s8``, which fills a small im2col buffer and
 multiplies it at once: the batch is cut into blocks of whole images whose
 float patch matrix fits in :data:`PATCH_BLOCK_BYTES`, and each block is
 gathered, multiplied and requantized straight into its rows of the int8
-output.  The patches and the float64 accumulator stay cache-resident instead
-of streaming the whole batch's patch matrix through memory several times.
+output.  The patches and the accumulator stay cache-resident instead of
+streaming the whole batch's patch matrix through memory several times.
 Every output element still goes through the same exact product and the same
 float64 epilogue, so blocking cannot change a single bit.
+
+The gather and the epilogue run in C (:mod:`repro.kernels.native`, built
+with the local ``gcc`` on first use) wherever it loads, and the product stays
+in BLAS.  Without ``gcc`` the NumPy code runs instead:
+:func:`~repro.kernels.im2col.im2col_s8` and the ufunc epilogue of
+:func:`requantize_rows`, which are also the oracle the native kernels are
+tested against.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -31,6 +38,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels.im2col import im2col_s8
+from repro.kernels.native import load_native
 from repro.nn.functional import conv_output_shape
 
 #: Byte budget of one block's float patch matrix in :func:`convolve_blocked`.
@@ -99,21 +107,45 @@ def accumulate_requantize(
     """Exact int8 MAC plus requantize: ``(P, K)`` patches -> ``(P, Cout)`` int8.
 
     ``patches`` and the ``(Cout, K)`` ``weights`` share the exact compute
-    dtype.  From the accumulator on every value is an exactly-represented
-    integer in float64, so ``rint(acc * multiplier) + zp_out``, clamped and
-    cast straight into the int8 output, is what the int32 code computes.
-    The result is written into ``out`` (a ``(P, Cout)`` int8 array) when
-    given, else into a new array.
+    dtype.  The result is written into ``out`` (a C-contiguous ``(P, Cout)``
+    int8 array) when given, else into a new array; see :func:`requantize_rows`.
     """
-    acc = (patches @ weights.T).astype(np.float64, copy=False)
+    acc = patches @ weights.T
+    if out is None:
+        out = np.empty(acc.shape, dtype=np.int8)
+    requantize_rows(acc, init, multipliers, output_zero_point, activation_min, activation_max, out)
+    return out
+
+
+def requantize_rows(
+    acc: np.ndarray,
+    init: np.ndarray,
+    multipliers: np.ndarray,
+    output_zero_point: int,
+    activation_min: int,
+    activation_max: int,
+    out: np.ndarray,
+) -> None:
+    """The epilogue: ``(P, Cout)`` accumulator -> int8 ``out``, in the native kernel when loaded.
+
+    From the accumulator on every value is an exactly-represented integer in
+    float64, so ``rint((acc + init) * multiplier) + zp_out``, clamped and cast
+    straight into the int8 output, is what the int32 code computes.  The
+    NumPy code below is the fallback without ``gcc`` and the oracle the
+    native kernel is tested against; it may overwrite a float64 ``acc``.
+    """
+    native = load_native()
+    if native is not None:
+        native.requantize(
+            acc, init, multipliers, output_zero_point, activation_min, activation_max, out
+        )
+        return
+    acc = acc.astype(np.float64, copy=False)
     acc += init
     acc *= np.asarray(multipliers, dtype=np.float64)
     np.rint(acc, out=acc)
     acc += float(output_zero_point)
-    if out is None:
-        out = np.empty(acc.shape, dtype=np.int8)
     np.clip(acc, activation_min, activation_max, out=out, casting="unsafe")
-    return out
 
 
 def convolve_blocked(
@@ -135,9 +167,11 @@ def convolve_blocked(
     and ``init`` its per-channel float64 (or int64) init, as
     :func:`prepare_weights` returns them.  Each block of
     ``max(1, PATCH_BLOCK_BYTES // (out_h * out_w * K * itemsize))`` images is
-    gathered by :func:`~repro.kernels.im2col.im2col_s8` in the compute dtype
-    and run through :func:`accumulate_requantize` into its rows of the
-    preallocated ``(N, out_h, out_w, Cout)`` int8 output.
+    gathered in the compute dtype -- by the native gather into one patch
+    buffer reused across blocks, else by :func:`~repro.kernels.im2col.
+    im2col_s8` -- multiplied by BLAS into one reused accumulator and
+    requantized (:func:`requantize_rows`) into its rows of the preallocated
+    ``(N, out_h, out_w, Cout)`` int8 output.
     """
     n, in_h, in_w, _ = x.shape
     out_c, k = weights.shape
@@ -145,15 +179,25 @@ def convolve_blocked(
     positions = out_h * out_w
     out = np.empty((n, out_h, out_w, out_c), dtype=np.int8)
     rows = out.reshape(n * positions, out_c)
-    block = max(1, PATCH_BLOCK_BYTES // (positions * k * weights.dtype.itemsize))
+    block = max(1, min(n, PATCH_BLOCK_BYTES // (positions * k * weights.dtype.itemsize)))
+    native = load_native()
+    if native is not None:
+        x = np.ascontiguousarray(x)
+        cols = np.empty((block * positions, k), dtype=weights.dtype)
+    acc = np.empty((block * positions, out_c), dtype=weights.dtype)
     for start in range(0, n, block):
         stop = min(start + block, n)
-        cols = im2col_s8(
-            x[start:stop], kernel, stride, padding, input_zero_point, dtype=weights.dtype
-        )
-        accumulate_requantize(
-            cols.reshape((stop - start) * positions, k), weights, init, multipliers,
-            output_zero_point, activation_min, activation_max,
+        m = (stop - start) * positions
+        if native is None:
+            patches = im2col_s8(
+                x[start:stop], kernel, stride, padding, input_zero_point, dtype=weights.dtype
+            ).reshape(m, k)
+        else:
+            patches = cols[:m]
+            native.gather(x[start:stop], kernel, stride, padding, input_zero_point, patches)
+        np.matmul(patches, weights.T, out=acc[:m])
+        requantize_rows(
+            acc[:m], init, multipliers, output_zero_point, activation_min, activation_max,
             out=rows[start * positions:stop * positions],
         )
     return out

@@ -9,7 +9,10 @@ turbo mode run.  Like ``arm_convolve_s8``, which never holds more than a
 small im2col buffer, it gathers and multiplies the patches one block of
 images at a time (:func:`~repro.kernels.accumulate.convolve_blocked`, sized
 by :data:`~repro.kernels.accumulate.PATCH_BLOCK_BYTES`), so the batch's
-whole patch matrix is never materialised.
+whole patch matrix is never materialised.  Like ``arm_convolve_s8``'s fused
+patch fill and in-register requantize, the gather and the epilogue around
+the BLAS product run in C (:mod:`repro.kernels.native`) where ``gcc`` is
+available, else in NumPy, with the same bits either way.
 
 Two features go beyond the stock kernel and exist for the paper's framework:
 

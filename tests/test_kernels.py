@@ -2,6 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
+import functools
+import os
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -25,6 +33,9 @@ from repro.kernels import (
 from repro.core.unpacking import unpack_layer
 from repro.kernels import accumulate
 from repro.kernels.accumulate import exact_matmul_dtype, prepare_weights
+import repro.kernels
+from repro.kernels import native
+from repro.kernels.native import NativeKernels, load_native
 from repro.kernels.smlad import smlad_dot
 from repro.quant.qlayers import QConv2D, QDense
 from repro.quant.schemes import QuantizationParams
@@ -303,13 +314,33 @@ _LAYER_SETTINGS = dict(
 )
 
 
+@pytest.fixture(scope="module")
+def backends():
+    """Context managers putting :mod:`repro.kernels.accumulate` on each backend built here.
+
+    ``native`` (the gather and epilogue of ``native.c``) exists wherever
+    ``gcc`` does; ``numpy``, the fallback and the oracle, always.
+    """
+
+    @contextlib.contextmanager
+    def use(name):
+        with pytest.MonkeyPatch.context() as patch:
+            if name == "numpy":
+                patch.setattr(accumulate, "load_native", lambda: None)
+            yield
+
+    names = ("numpy",) if load_native() is None else ("native", "numpy")
+    return {name: functools.partial(use, name) for name in names}
+
+
 class TestDifferentialMAC:
     """Every int8 MAC path agrees bit for bit with the loop reference.
 
     The paths are the loop reference, the kernel (``QLayer.forward``), the VM
-    interpreter and VM turbo on ``lower_layer`` of the same layer and mask.
-    K is drawn on both sides of the float32/float64 switch of
-    :func:`exact_matmul_dtype` (K >= 1024 needs float64).
+    interpreter and VM turbo on ``lower_layer`` of the same layer and mask;
+    the kernel and turbo run on every backend.  K is drawn on both sides of
+    the float32/float64 switch of :func:`exact_matmul_dtype` (K >= 1024
+    needs float64).
     """
 
     @given(
@@ -326,7 +357,7 @@ class TestDifferentialMAC:
     )
     @settings(max_examples=40, deadline=None)
     def test_conv_paths_agree(
-        self, seed, kernel, stride, padding, extent, batch, out_c, in_c, large_k, extreme,
+        self, backends, seed, kernel, stride, padding, extent, batch, out_c, in_c, large_k, extreme,
         zero_points, fused_relu, has_bias, dyadic, masked, dead_rows,
     ):
         rng = np.random.default_rng(seed)
@@ -349,9 +380,11 @@ class TestDifferentialMAC:
             qlayer.activation_min, 127, mask=mask,
         )
         program = lower_layer(qlayer, unpack_layer(qlayer), mask)
-        np.testing.assert_array_equal(qlayer.forward(x, weight_mask=mask), expected)
         np.testing.assert_array_equal(execute_layer_interp(program, x), expected)
-        np.testing.assert_array_equal(execute_layer_turbo(program, x), expected)
+        for name, use in backends.items():
+            with use():
+                np.testing.assert_array_equal(qlayer.forward(x, weight_mask=mask), expected, err_msg=name)
+                np.testing.assert_array_equal(execute_layer_turbo(program, x), expected, err_msg=name)
 
     @given(
         seed=st.integers(0, 2**32 - 1),
@@ -368,7 +401,7 @@ class TestDifferentialMAC:
              fused_relu=True, has_bias=True, dyadic=False, masked=False, dead_rows=0)
     @settings(max_examples=40, deadline=None)
     def test_dense_paths_agree(
-        self, seed, batch, in_features, out_features, extreme,
+        self, backends, seed, batch, in_features, out_features, extreme,
         zero_points, fused_relu, has_bias, dyadic, masked, dead_rows,
     ):
         rng = np.random.default_rng(seed)
@@ -396,9 +429,11 @@ class TestDifferentialMAC:
             qlayer.activation_min, 127, mask=mask,
         )
         program = lower_layer(qlayer, unpack_layer(qlayer), mask)
-        np.testing.assert_array_equal(qlayer.forward(x, weight_mask=mask), expected)
         np.testing.assert_array_equal(execute_layer_interp(program, x), expected)
-        np.testing.assert_array_equal(execute_layer_turbo(program, x), expected)
+        for name, use in backends.items():
+            with use():
+                np.testing.assert_array_equal(qlayer.forward(x, weight_mask=mask), expected, err_msg=name)
+                np.testing.assert_array_equal(execute_layer_turbo(program, x), expected, err_msg=name)
 
 
 class TestBlockedConvolution:
@@ -407,12 +442,29 @@ class TestBlockedConvolution:
     ``PATCH_BLOCK_BYTES`` is shrunk to a few images (a batch that is not a
     multiple of the block) or below one image (one image per block), on both
     sides of the float32/float64 switch.  The VM interpreter keeps its
-    whole-batch int64 patches and is the unblocked reference.
+    whole-batch int64 patches and is the unblocked reference.  Every case
+    runs on every backend.
     """
+
+    @staticmethod
+    def spy_on_gather(monkeypatch, backend):
+        """Record the images of every block the backend's gather is called on."""
+        gathered = []
+        owner, name = (accumulate, "im2col_s8") if backend == "numpy" else (load_native(), "gather")
+        gather = getattr(owner, name)
+
+        def spy(images, *args, **kwargs):
+            gathered.append(images.shape[0])
+            return gather(images, *args, **kwargs)
+
+        monkeypatch.setattr(owner, name, spy)
+        return gathered
 
     @pytest.mark.parametrize("in_c", [3, 114])  # K = 27 (float32) and 1026 (float64)
     @pytest.mark.parametrize("images_per_block", [3, 0])  # 0: budget below one image
-    def test_paths_agree_and_blocks_bound_im2col(self, rng, monkeypatch, in_c, images_per_block):
+    def test_paths_agree_and_blocks_bound_im2col(
+        self, rng, monkeypatch, backends, in_c, images_per_block
+    ):
         batch, out_c, kernel, stride, padding, in_zp, out_zp = 7, 5, (3, 3), (1, 2), (1, 1), -3, 4
         k = kernel[0] * kernel[1] * in_c
         weights, bias, multipliers = _layer_constants(rng, out_c, k, True, False, False)
@@ -426,29 +478,168 @@ class TestBlockedConvolution:
         image_bytes = out_h * out_w * k * exact_matmul_dtype(k).itemsize
         budget = images_per_block * image_bytes if images_per_block else image_bytes - 1
         monkeypatch.setattr(accumulate, "PATCH_BLOCK_BYTES", budget)
-        gathered = []
-
-        def spy(images, *args, **kwargs):
-            gathered.append(images.shape[0])
-            return im2col_s8(images, *args, **kwargs)
-
-        monkeypatch.setattr(accumulate, "im2col_s8", spy)
 
         expected = naive_convolve_s8(
             x, qlayer.weights, bias, in_zp, out_zp, qlayer.output_multipliers, stride, padding,
             qlayer.activation_min, 127, mask=mask,
         )
-        out = convolve_s8(
-            x, qlayer.weights, bias, in_zp, out_zp, qlayer.output_multipliers, stride, padding,
-            qlayer.activation_min, 127, weight_mask=mask,
-        )
         program = lower_layer(qlayer, unpack_layer(qlayer), mask)
-        np.testing.assert_array_equal(out, expected)
         np.testing.assert_array_equal(execute_layer_interp(program, x), expected)
-        np.testing.assert_array_equal(execute_layer_turbo(program, x), expected)
-        # convolve_s8 then turbo, each one im2col call per block, none over a block.
         blocks = [3, 3, 1] if images_per_block else [1] * batch
-        assert gathered == blocks * 2
+        for name, use in backends.items():
+            with use(), pytest.MonkeyPatch.context() as patch:
+                gathered = self.spy_on_gather(patch, name)
+                out = convolve_s8(
+                    x, qlayer.weights, bias, in_zp, out_zp, qlayer.output_multipliers, stride,
+                    padding, qlayer.activation_min, 127, weight_mask=mask,
+                )
+                np.testing.assert_array_equal(out, expected, err_msg=name)
+                np.testing.assert_array_equal(execute_layer_turbo(program, x), expected, err_msg=name)
+            # convolve_s8 then turbo, each one gather call per block, none over a block.
+            assert gathered == blocks * 2, name
+
+    @pytest.mark.parametrize(
+        "batch, in_c, stride, padding, sliced, scalar_multiplier, act_min",
+        [
+            pytest.param(0, 3, (1, 1), (1, 1), False, False, -128, id="batch-0"),
+            pytest.param(3, 4, (1, 1), (1, 0), True, False, -128, id="channel-sliced-input"),
+            pytest.param(2, 120, (1, 1), (1, 1), False, False, -128, id="float64-k1080"),
+            pytest.param(3, 3, (1, 2), (2, 0), False, False, -128, id="stride-1x2-pad-2x0"),
+            pytest.param(2, 5, (2, 1), (0, 1), False, True, -128, id="scalar-multiplier"),
+            pytest.param(2, 4, (1, 1), (1, 1), False, False, -20, id="activation-min-above-int8"),
+        ],
+    )
+    def test_edge_cases_match_reference(
+        self, backends, batch, in_c, stride, padding, sliced, scalar_multiplier, act_min
+    ):
+        rng = np.random.default_rng([batch, in_c, act_min + 128])
+        out_c, kernel, in_zp, out_zp = 4, (3, 3), 7, -2
+        k = kernel[0] * kernel[1] * in_c
+        weights, bias, multipliers = _layer_constants(rng, out_c, k, True, False, False)
+        if scalar_multiplier:
+            multipliers = float(multipliers[0])
+        weights = weights.reshape(out_c, *kernel, in_c)
+        x = _int8(rng, (batch, 6, 7, 2 * in_c if sliced else in_c), False)
+        if sliced:  # every other channel: a strided, non-contiguous view
+            x = x[..., ::2]
+        expected = naive_convolve_s8(
+            x, weights, bias, in_zp, out_zp, np.broadcast_to(multipliers, (out_c,)), stride,
+            padding, act_min, 127,
+        )
+        if act_min > -128:  # the case exercises the clamp
+            assert (expected == act_min).any()
+        for name, use in backends.items():
+            with use():
+                out = convolve_s8(
+                    x, weights, bias, in_zp, out_zp, multipliers, stride, padding, act_min, 127
+                )
+            assert out.shape == expected.shape, name
+            np.testing.assert_array_equal(out, expected, err_msg=name)
+
+
+class TestNativeKernels:
+    """The native backend is built wherever gcc is, and never falls back silently."""
+
+    def test_active_wherever_gcc_is(self, monkeypatch):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on this host")
+        rng = np.random.default_rng(0)
+        kernels = accumulate.load_native()
+        assert isinstance(kernels, NativeKernels)
+        calls = []
+
+        def record(name):
+            kernel = getattr(kernels, name)
+
+            def recorded(*args, **kwargs):
+                calls.append(name)
+                return kernel(*args, **kwargs)
+
+            monkeypatch.setattr(kernels, name, recorded)
+
+        record("gather")
+        record("requantize")
+        x = rng.integers(-128, 128, size=(2, 6, 6, 3), dtype=np.int8)
+        conv_weights = rng.integers(-127, 128, size=(4, 3, 3, 3), dtype=np.int8)
+        dense_weights = rng.integers(-127, 128, size=(108, 4), dtype=np.int8)
+        convolve_s8(x, conv_weights, None, 0, 0, np.full(4, 1e-3))
+        fully_connected_s8(x.reshape(2, -1), dense_weights, None, 0, 0, np.full(4, 1e-3))
+        assert calls == ["gather", "requantize", "requantize"]
+
+    def test_rejects_buffers_it_cannot_write_through(self):
+        kernels = load_native()
+        if kernels is None:
+            pytest.skip("no gcc on this host")
+        x = np.zeros((2, 5, 5, 3), dtype=np.int8)
+        cols = np.empty((2 * 9, 27), dtype=np.float32)  # 3x3 kernel -> 3x3 positions
+        kernels.gather(x, (3, 3), (1, 1), (0, 0), 0, cols)
+        with pytest.raises(ValueError, match="shape"):
+            kernels.gather(x, (3, 3), (1, 1), (0, 0), 0, cols[:-1])
+        with pytest.raises(ValueError, match="C-contiguous"):
+            kernels.gather(x[..., ::2], (3, 3), (1, 1), (0, 0), 0, cols[:, :18])
+        with pytest.raises(TypeError):
+            kernels.gather(x, (3, 3), (1, 1), (0, 0), 0, cols.astype(np.float16))
+        acc = np.zeros((4, 6), dtype=np.float64)
+        out = np.empty((4, 6), dtype=np.int8)
+        kernels.requantize(acc, 0.0, 1.0, 0, -128, 127, out)
+        read_only = out.copy()
+        read_only.flags.writeable = False
+        for bad in (out[::-1], read_only, out.astype(np.int16)):
+            with pytest.raises(ValueError, match="C-contiguous writeable int8"):
+                kernels.requantize(acc, 0.0, 1.0, 0, -128, 127, bad)
+        with pytest.raises(ValueError, match="activation range"):
+            kernels.requantize(acc, 0.0, 1.0, 0, 5, 4, out)
+
+    def test_concurrent_first_builds_load_one_library(self, tmp_path):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on this host")
+        # Each process prints its library's path and the digests of one
+        # conv's output on the native backend and on NumPy.
+        script = (
+            "import hashlib, numpy as np\n"
+            "from repro.kernels import accumulate\n"
+            "from repro.kernels.conv_s8 import convolve_s8\n"
+            "rng = np.random.default_rng(0)\n"
+            "x = rng.integers(-128, 128, (4, 9, 9, 3), dtype=np.int8)\n"
+            "w = rng.integers(-127, 128, (5, 3, 3, 3), dtype=np.int8)\n"
+            "def digest():\n"
+            "    out = convolve_s8(x, w, None, 3, -1, np.full(5, 0.01), padding=(1, 1))\n"
+            "    return hashlib.sha256(out.tobytes()).hexdigest()\n"
+            "native = accumulate.load_native()\n"
+            "on_native = digest()\n"
+            "accumulate.load_native = lambda: None\n"
+            "print(native.path, on_native, digest())\n"
+        )
+        src = str(Path(native.__file__).resolve().parents[2])
+        env = {**os.environ, "REPRO_CACHE_DIR": str(tmp_path),
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        procs = [
+            subprocess.Popen([sys.executable, "-c", script], env=env, stdout=subprocess.PIPE,
+                             stderr=subprocess.PIPE, text=True)
+            for _ in range(2)
+        ]
+        results = [proc.communicate(timeout=120) for proc in procs]
+        assert [proc.returncode for proc in procs] == [0, 0], [err for _, err in results]
+        first, second = (out.split() for out, _ in results)
+        assert first == second
+        assert first[1] == first[2]  # native and NumPy agree
+        # One complete library, no temporary file left behind.
+        assert [p.name for p in (tmp_path / "native").iterdir()] == [Path(first[0]).name]
+
+    def test_broken_source_raises_instead_of_falling_back(self, tmp_path, monkeypatch):
+        if shutil.which("gcc") is None:
+            pytest.skip("no gcc on this host")
+        broken = tmp_path / "native.c"
+        broken.write_text(native.SOURCE.read_text() + "\nint broken(void) { return }\n")
+        monkeypatch.setattr(native, "SOURCE", broken)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        with pytest.raises(RuntimeError, match="building native.c failed"):
+            native.build_library(shutil.which("gcc"))
+        assert list((tmp_path / "cache" / "native").iterdir()) == []
+
+    def test_source_ships_inside_the_package(self):
+        assert native.SOURCE.is_file()
+        assert native.SOURCE.resolve().parent == Path(repro.kernels.__file__).resolve().parent
 
 
 class TestPoolingS8:
