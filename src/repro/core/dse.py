@@ -13,9 +13,23 @@ Sorted by their per-layer key tuples, the designs form a walk through a trie
 over the layers: a design re-runs only the layers from the first one whose
 key differs from the previous design's, reusing the int8 activations cached
 at every layer boundary.  Each 256-image evaluation chunk is walked on its
-own, so at most one activation per layer is alive.  The walk is sharded over
-a process pool by trie subtree, largest first, and every worker runs BLAS on
-its share of the cores (:func:`repro.utils.parallel.parallel_map`).
+own, so at most one activation per layer is alive besides the stacked
+outputs below.
+
+*Sibling stacking.*  Consecutive designs that share every key before a conv
+layer and differ at it feed that layer the same activations.  The first of
+them to reach the layer computes all their outputs in one
+``QConv2D.forward_stacked`` call -- one patch gather and one wide BLAS
+product for D masks -- and the walk caches the others' outputs until each
+design reaches the layer and finds it as a hit (:func:`_stack_plan`).  The
+stacked outputs held at once stay within :data:`STACK_BYTES`.  Every output
+is bit for bit the one a single convolution gives.
+
+*Sharding.*  The key-sorted designs are cut into one contiguous run per
+worker, balanced by the layer forwards each run's walk executes (weighted by
+each layer's MACs), and cut where no sibling stack is split whenever that
+costs at most half a design's walk of balance (:func:`_shards`).  Every worker runs BLAS on its share of
+the cores (:func:`repro.utils.parallel.parallel_map`).
 """
 
 from __future__ import annotations
@@ -37,7 +51,7 @@ from repro.quant.qmodel import QuantizedModel
 from repro.quant.schemes import dequantize
 from repro.registry import SEARCH_STRATEGIES
 from repro.utils.logging import get_logger
-from repro.utils.parallel import parallel_map
+from repro.utils.parallel import default_workers, parallel_map
 
 logger = get_logger("core.dse")
 
@@ -181,6 +195,8 @@ class DSEResult:
     layer_forwards: int = 0
     #: Layer forwards a design-by-design evaluation would have run.
     naive_layer_forwards: int = 0
+    #: Conv patch gathers the walk ran (one per conv call, stacked or not).
+    conv_gathers: int = 0
 
     def pareto_points(self) -> List[DesignPoint]:
         """Pareto-optimal designs (maximise accuracy and conv-MAC reduction)."""
@@ -209,11 +225,12 @@ class DSEResult:
         return [p.as_dict() for p in self.points]
 
     def as_dict(self) -> Dict[str, object]:
-        """The saved DSE: baseline, the walk's layer-forward counts and every point."""
+        """The saved DSE: baseline, the walk's layer-forward and gather counts and every point."""
         return {
             "baseline_accuracy": self.baseline_accuracy,
             "layer_forwards": self.layer_forwards,
             "naive_layer_forwards": self.naive_layer_forwards,
+            "conv_gathers": self.conv_gathers,
             "points": self.as_table(),
         }
 
@@ -239,6 +256,13 @@ def _generate_layer_subsets(layer_names: Sequence[str], mode: str) -> List[Tuple
 #: Images per forward of the evaluation walk, as in ``QuantizedModel.predict_classes``.
 EVAL_BATCH = 256
 
+#: Byte budget of the stacked conv outputs the evaluation walk holds at once.
+#: Like ``PATCH_BLOCK_BYTES``, a fixed constant: 16 MiB stacks four designs'
+#: batch-256 LeNet conv1 outputs (4 MiB each), which is where the sibling
+#: gather is shared most, and keeps a worker's RSS well below that of the
+#: process that sets up the DSE.
+STACK_BYTES = 16 << 20
+
 #: A design in the walk: its index in the caller's list, per-layer mask keys
 #: and masks.
 _Design = Tuple[int, Tuple[bytes, ...], Dict[str, np.ndarray]]
@@ -252,6 +276,9 @@ class DesignEvaluation:
     layer_forwards: int
     #: Layer forwards a design-by-design evaluation would have run.
     naive_layer_forwards: int
+    #: Conv layer calls the walk ran, each one patch gather (a stacked call
+    #: computing several designs' outputs counts once).
+    conv_gathers: int = 0
 
 
 def _mask_key(mask: np.ndarray) -> bytes:
@@ -260,9 +287,67 @@ def _mask_key(mask: np.ndarray) -> bytes:
     return hashlib.blake2b(repr(mask.shape).encode() + mask.tobytes(), digest_size=16).digest()
 
 
+def _divergence(keys: Tuple[bytes, ...], previous: Tuple[bytes, ...]) -> int:
+    """First layer whose key differs from the previous design's (``len(previous)`` if none)."""
+    return next((i for i, (a, b) in enumerate(zip(keys, previous)) if a != b), len(previous))
+
+
+def _stack_bytes(qmodel: QuantizedModel, images: int) -> List[int]:
+    """Per layer, the bytes of one stacked output of ``images`` images, or 0 when it is not a conv."""
+    return [
+        int(np.prod(out_shape)) * images if layer.is_conv else 0
+        for layer, (_, _, out_shape) in zip(qmodel.layers, qmodel.layer_shapes())
+    ]
+
+
+def _stack_plan(
+    keys: Sequence[Tuple[bytes, ...]], stack_bytes: Sequence[int]
+) -> Dict[Tuple[int, int], List[int]]:
+    """Which designs' conv outputs the walk over key-sorted ``keys`` computes together.
+
+    Maps ``(position, layer)`` to the positions whose masks the design at
+    ``position`` stacks into its ``layer`` call: itself, then the next
+    designs that share every key before ``layer`` and differ at it, one per
+    distinct key, in key order.  Those designs find their output cached,
+    and each reaches the layer before the walk leaves the shared prefix, so
+    no cached output outlives it.  The stacked outputs held at once never
+    exceed :data:`STACK_BYTES`: each layer's stack lives until the walk next
+    computes that layer, and a deeper stack gets only the room its
+    ancestors' stacks leave.
+    """
+    plan: Dict[Tuple[int, int], List[int]] = {}
+    held = [0] * len(stack_bytes)
+    pending: List[set] = [set() for _ in stack_bytes]
+    previous: Tuple[bytes, ...] = ()
+    for position, row in enumerate(keys):
+        first = _divergence(row, previous)
+        for i in range(first, len(stack_bytes)):
+            if row[i] in pending[i]:
+                pending[i].discard(row[i])
+                continue
+            held[i] = 0
+            if not stack_bytes[i]:
+                continue
+            room = (STACK_BYTES - sum(held[:i])) // stack_bytes[i]
+            group, seen = [position], {row[i]}
+            for later in range(position + 1, len(keys)):
+                other = keys[later]
+                if len(group) >= room or other[:i] != row[:i]:
+                    break
+                if other[i] not in seen:
+                    seen.add(other[i])
+                    group.append(later)
+            if len(group) > 1:
+                plan[(position, i)] = group
+                pending[i] = seen - {row[i]}
+                held[i] = len(group) * stack_bytes[i]
+        previous = row
+    return plan
+
+
 #: Per-worker invariant payload installed by :func:`_init_walk_worker` -- the
 #: model and eval arrays are shipped once per worker instead of being
-#: re-pickled into every subtree's work item.
+#: re-pickled into every work item.
 _WALK_STATE: dict = {}
 
 
@@ -271,53 +356,104 @@ def _init_walk_worker(qmodel: QuantizedModel, images: np.ndarray, labels: np.nda
     _WALK_STATE["payload"] = (qmodel, images, labels)
 
 
-def _walk_designs(designs: List[_Design]) -> Tuple[List[Tuple[int, float]], int]:
+def _walk_designs(designs: List[_Design]) -> Tuple[List[Tuple[int, float]], int, int]:
     """Worker: evaluate key-sorted designs, re-running only each one's differing suffix.
 
     Follows ``QuantizedModel.evaluate_accuracy`` step for step (quantize the
     chunk, run the layers, dequantize, argmax), so accuracies are
-    bit-identical.  Returns ``(index, accuracy)`` pairs and the number of
-    layer forwards run.
+    bit-identical.  A conv output that :func:`_stack_plan` stacks is
+    computed for all its sibling designs in one call and cached until each
+    reaches that layer.  Returns ``(index, accuracy)`` pairs, the number of
+    layer forwards run and the number of conv gathers.
     """
     qmodel, images, labels = _WALK_STATE["payload"]
     layers = qmodel.layers
     n = int(images.shape[0])
+    plan = _stack_plan([keys for _, keys, _ in designs], _stack_bytes(qmodel, min(n, EVAL_BATCH)))
     correct = [0] * len(designs)
-    forwards = 0
+    forwards = gathers = 0
     for start in range(0, n, EVAL_BATCH):
         stop = min(start + EVAL_BATCH, n)
-        # acts[i] is the input of layer i: one activation per layer boundary.
+        # acts[i] is the input of layer i: one activation per layer boundary,
+        # plus the stacked outputs cached for designs still to come.
         acts: List[np.ndarray] = [qmodel.quantize_input(images[start:stop])] + [None] * len(layers)
+        cached: List[Dict[bytes, np.ndarray]] = [{} for _ in layers]
         previous: Tuple[bytes, ...] = ()
         hits = 0
         for position, (_, keys, masks) in enumerate(designs):
-            first = next(
-                (i for i, (a, b) in enumerate(zip(keys, previous)) if a != b), len(previous)
-            )
+            first = _divergence(keys, previous)
             if first < len(layers):
+                acts[first + 1:] = [None] * (len(layers) - first)  # release what this design recomputes
                 for i in range(first, len(layers)):
-                    acts[i + 1] = layers[i].forward(acts[i], weight_mask=masks.get(layers[i].name))
-                forwards += len(layers) - first
+                    layer = layers[i]
+                    if keys[i] in cached[i]:
+                        acts[i + 1] = cached[i].pop(keys[i])
+                        continue
+                    group = plan.get((position, i))
+                    if group is None:
+                        acts[i + 1] = layer.forward(acts[i], weight_mask=masks.get(layer.name))
+                        forwards += 1
+                    else:
+                        outs = layer.forward_stacked(
+                            acts[i], [designs[q][2].get(layer.name) for q in group]
+                        )
+                        for q, out in zip(group[1:], outs[1:]):
+                            cached[i][designs[q][1][i]] = out
+                        acts[i + 1] = outs[0]
+                        forwards += len(group)
+                    gathers += layer.is_conv
                 logits = dequantize(acts[-1], layers[-1].output_params)
                 hits = int((logits.argmax(axis=-1) == labels[start:stop]).sum())
             correct[position] += hits
             previous = keys
     pairs = [(index, correct[p] / n if n else 0.0) for p, (index, _, _) in enumerate(designs)]
-    return pairs, forwards
+    return pairs, forwards, gathers
 
 
-def _subtrees(designs: List[_Design]) -> List[List[_Design]]:
-    """Split key-sorted designs at the first layer where they diverge; largest subtree first."""
-    if not designs:
-        return []
-    n_layers = len(designs[0][1])
-    depth = next(
-        (i for i in range(n_layers) if any(d[1][i] != designs[0][1][i] for d in designs)), None
-    )
-    if depth is None:
-        return [designs]
-    groups = [list(group) for _, group in itertools.groupby(designs, key=lambda d: d[1][depth])]
-    return sorted(groups, key=len, reverse=True)
+def _layer_costs(qmodel: QuantizedModel) -> List[int]:
+    """Per layer, the work of one forward per image: its MACs, or its outputs when it has fewer."""
+    return [
+        max(layer.macs(in_shape), int(np.prod(out_shape)))
+        for layer, (_, in_shape, out_shape) in zip(qmodel.layers, qmodel.layer_shapes())
+    ]
+
+
+def _shards(
+    designs: List[_Design], n_items: int, stack_bytes: Sequence[int], layer_costs: Sequence[int]
+) -> List[List[_Design]]:
+    """Cut key-sorted designs into ``min(n_items, len(designs))`` runs of balanced layer forwards.
+
+    The serial walk's layer forwards (all layers for the first design, then
+    each design's differing suffix), each weighted by its layer's
+    ``layer_costs`` (:func:`_layer_costs`), are cut into equal shares, each
+    cut aiming at an equal share of what the previous cuts leave.  A cut
+    goes to the position nearest its target, unless a position that splits
+    no sibling stack of :func:`_stack_plan` is at most half a design's walk
+    farther from it: then to the nearest such position, so stacked designs
+    stay in one run.
+    """
+    n_items = min(n_items, len(designs))
+    if n_items <= 1:
+        return [designs] if designs else []
+    keys = [keys for _, keys, _ in designs]
+    before = [0]
+    for row, previous in zip(keys, [()] + keys[:-1]):
+        before.append(before[-1] + sum(layer_costs[_divergence(row, previous):]))
+    spanned = set()
+    for group in _stack_plan(keys, stack_bytes).values():
+        spanned.update(range(group[0] + 1, group[-1] + 1))
+    cuts = [0]
+    for j in range(1, n_items):
+        # Leave a position for each cut still to come.
+        options = range(cuts[-1] + 1, len(designs) - (n_items - 1 - j))
+        target = before[cuts[-1]] + (before[-1] - before[cuts[-1]]) / (n_items - j + 1)
+        nearest = min(options, key=lambda p: abs(before[p] - target))
+        clean = min((p for p in options if p not in spanned), default=nearest,
+                    key=lambda p: abs(before[p] - target))
+        slack = abs(before[clean] - target) - abs(before[nearest] - target)
+        cuts.append(clean if 2 * slack <= sum(layer_costs) else nearest)
+    bounds = cuts + [len(designs)]
+    return [designs[a:b] for a, b in zip(bounds, bounds[1:])]
 
 
 def evaluate_designs(
@@ -331,7 +467,7 @@ def evaluate_designs(
 
     Each accuracy equals ``qmodel.evaluate_accuracy(images, labels, masks=m)``
     bit for bit.  ``n_workers`` follows :func:`parallel_map`; the work is
-    sharded by trie subtree.
+    cut into one run of key-sorted designs per worker (:func:`_shards`).
     """
     images = np.asarray(images)
     labels = np.asarray(labels)
@@ -341,24 +477,27 @@ def evaluate_designs(
         for index, masks in enumerate(mask_sets)
     ]
     designs.sort(key=lambda d: d[1])
+    n_workers = default_workers() if n_workers is None else n_workers
+    stack_bytes = _stack_bytes(qmodel, min(int(images.shape[0]), EVAL_BATCH))
     load_native()  # built once here, so forked pool workers inherit it instead of each building
     results = parallel_map(
         _walk_designs,
-        _subtrees(designs),
+        _shards(designs, max(1, n_workers), stack_bytes, _layer_costs(qmodel)),
         n_workers=n_workers,
         chunksize=1,
-        min_items_for_pool=4,
+        min_items_for_pool=2,
         initializer=_init_walk_worker,
         initargs=(qmodel, images, labels),
     )
     accuracies = [0.0] * len(designs)
-    forwards = 0
-    for pairs, walked in results:
+    forwards = gathers = 0
+    for pairs, walked, gathered in results:
         forwards += walked
+        gathers += gathered
         for index, accuracy in pairs:
             accuracies[index] = accuracy
     n_chunks = -(-int(images.shape[0]) // EVAL_BATCH)
-    return DesignEvaluation(accuracies, forwards, len(designs) * len(names) * n_chunks)
+    return DesignEvaluation(accuracies, forwards, len(designs) * len(names) * n_chunks, gathers)
 
 
 def run_dse(
@@ -465,10 +604,11 @@ def exhaustive_sweep(
         qmodel, [{}] + mask_sets, eval_images, eval_labels, n_workers=dse_config.n_workers
     )
     logger.info(
-        "DSE on %s: %d layer forwards executed, %d without prefix sharing",
+        "DSE on %s: %d layer forwards executed, %d without prefix sharing, %d conv gathers",
         qmodel.name,
         evaluation.layer_forwards,
         evaluation.naive_layer_forwards,
+        evaluation.conv_gathers,
     )
     baseline_accuracy, *accuracies = evaluation.accuracies
     points = [
@@ -487,4 +627,5 @@ def exhaustive_sweep(
         config=dse_config,
         layer_forwards=evaluation.layer_forwards,
         naive_layer_forwards=evaluation.naive_layer_forwards,
+        conv_gathers=evaluation.conv_gathers,
     )

@@ -59,6 +59,8 @@ class GreedySearchResult:
     #: what design-by-design evaluation would have run.
     layer_forwards: int = 0
     naive_layer_forwards: int = 0
+    #: Conv patch gathers those walks ran.
+    conv_gathers: int = 0
 
     @property
     def accuracy_loss(self) -> float:
@@ -132,7 +134,7 @@ def greedy_per_layer_search(
 
     current_accuracy, current_reduction = baseline_accuracy, 0.0
     steps: List[GreedyStep] = []
-    layer_forwards = naive_layer_forwards = 0
+    layer_forwards = naive_layer_forwards = conv_gathers = 0
 
     for _ in range(max_steps):
         # Every one-layer move of this iteration goes to the prefix-sharing
@@ -151,6 +153,7 @@ def greedy_per_layer_search(
         evaluation = evaluate_designs(qmodel, [masks for _, _, masks in trials], eval_images, eval_labels)
         layer_forwards += evaluation.layer_forwards
         naive_layer_forwards += evaluation.naive_layer_forwards
+        conv_gathers += evaluation.conv_gathers
         best_move = None
         for (name, next_level, masks), accuracy in zip(trials, evaluation.accuracies):
             if accuracy < floor:
@@ -197,6 +200,7 @@ def greedy_per_layer_search(
         steps=steps,
         layer_forwards=layer_forwards,
         naive_layer_forwards=naive_layer_forwards,
+        conv_gathers=conv_gathers,
     )
 
 
@@ -366,6 +370,7 @@ class GreedyPerLayerSearch(SearchStrategy):
             config=dse_config,
             layer_forwards=greedy.layer_forwards,
             naive_layer_forwards=greedy.naive_layer_forwards,
+            conv_gathers=greedy.conv_gathers,
         )
 
 
@@ -412,4 +417,5 @@ class LatencyAwareSearch(SearchStrategy):
             config=sweep.config,
             layer_forwards=sweep.layer_forwards,
             naive_layer_forwards=sweep.naive_layer_forwards,
+            conv_gathers=sweep.conv_gathers,
         )

@@ -16,12 +16,19 @@ into the init: ``acc = patches @ w.T + bias - zp_in * w.sum(axis=1)``.
 Convolutions run blocked (:func:`convolve_blocked`), following the dataflow
 of CMSIS-NN's ``arm_convolve_s8``, which fills a small im2col buffer and
 multiplies it at once: the batch is cut into blocks of whole images whose
-float patch matrix fits in :data:`PATCH_BLOCK_BYTES`, and each block is
-gathered, multiplied and requantized straight into its rows of the int8
-output.  The patches and the accumulator stay cache-resident instead of
-streaming the whole batch's patch matrix through memory several times.
-Every output element still goes through the same exact product and the same
-float64 epilogue, so blocking cannot change a single bit.
+float patch matrix and accumulator fit in :data:`PATCH_BLOCK_BYTES`, and
+each block is gathered, multiplied and requantized straight into its rows
+of the int8 output.  The patches and the accumulator stay cache-resident
+instead of streaming the whole batch's patch matrix through memory several
+times.  Every output element still goes through the same exact product and
+the same float64 epilogue, so blocking cannot change a single bit.
+
+The blocked convolution takes D stacked weight sets -- the same layer under
+D masks, as the design-space exploration scores them -- and gathers each
+block once for all of them: one ``(patches, D * Cout)`` BLAS product, then
+one epilogue per set on its column slice.  A plain convolution is the
+``D = 1`` case, so stacked and single convolutions share one code path and
+give the same bits.
 
 The gather and the epilogue run in C (:mod:`repro.kernels.native`, built
 with the local ``gcc`` on first use) wherever it loads, and the product stays
@@ -41,7 +48,8 @@ from repro.kernels.im2col import im2col_s8
 from repro.kernels.native import load_native
 from repro.nn.functional import conv_output_shape
 
-#: Byte budget of one block's float patch matrix in :func:`convolve_blocked`.
+#: Byte budget of one block's float patch matrix plus its accumulator in
+#: :func:`convolve_blocked`.
 #: A fixed constant, picked from a sweep of LeNet batch-256 forwards on a
 #: 2-core Xeon (2 MiB L2 per core; two processes on one OpenBLAS thread each):
 #: 2-4 MiB blocks ran conv1 + conv2 ~35% faster than the whole batch, 1 MiB
@@ -130,7 +138,8 @@ def requantize_rows(
 
     From the accumulator on every value is an exactly-represented integer in
     float64, so ``rint((acc + init) * multiplier) + zp_out``, clamped and cast
-    straight into the int8 output, is what the int32 code computes.  The
+    straight into the int8 output, is what the int32 code computes.  ``acc``
+    may be one weight set's column slice of a stacked accumulator.  The
     NumPy code below is the fallback without ``gcc`` and the oracle the
     native kernel is tested against; it may overwrite a float64 ``acc``.
     """
@@ -161,30 +170,37 @@ def convolve_blocked(
     activation_min: int,
     activation_max: int,
 ) -> np.ndarray:
-    """Exact int8 convolution of NHWC ``x``, one block of images at a time.
+    """Exact int8 convolution of NHWC ``x`` by D stacked weight sets, one block of images at a time.
 
-    ``weights`` is the masked ``(Cout, K)`` matrix in the exact compute dtype
-    and ``init`` its per-channel float64 (or int64) init, as
-    :func:`prepare_weights` returns them.  Each block of
-    ``max(1, PATCH_BLOCK_BYTES // (out_h * out_w * K * itemsize))`` images is
-    gathered in the compute dtype -- by the native gather into one patch
-    buffer reused across blocks, else by :func:`~repro.kernels.im2col.
-    im2col_s8` -- multiplied by BLAS into one reused accumulator and
-    requantized (:func:`requantize_rows`) into its rows of the preallocated
-    ``(N, out_h, out_w, Cout)`` int8 output.
+    ``weights`` is the ``(D * Cout, K)`` matrix of D masked weight sets in
+    the exact compute dtype, stacked set after set, and ``init`` their
+    ``(D, Cout)`` float64 (or int64) init, as :func:`prepare_weights`
+    returns them for each set.  Each block of ``max(1, PATCH_BLOCK_BYTES //
+    (out_h * out_w * (K + D * Cout) * itemsize))`` images -- its patch
+    matrix and its accumulator together fit the budget -- is gathered once
+    in the compute dtype (by the native gather into one patch buffer reused
+    across blocks, else by :func:`~repro.kernels.im2col.im2col_s8`),
+    multiplied once by BLAS into one reused ``(block * out_h * out_w, D *
+    Cout)`` accumulator, and each set's column slice is requantized
+    (:func:`requantize_rows`) into its rows of the ``(D, N, out_h, out_w,
+    Cout)`` int8 output.  A single convolution is the ``D = 1`` case.
     """
     n, in_h, in_w, _ = x.shape
-    out_c, k = weights.shape
+    sets, out_c = init.shape
+    k = weights.shape[1]
+    if weights.shape[0] != sets * out_c:
+        raise ValueError(f"weights {weights.shape} do not stack {sets} sets of {out_c} channels")
     out_h, out_w = conv_output_shape(in_h, in_w, kernel, stride, padding)
     positions = out_h * out_w
-    out = np.empty((n, out_h, out_w, out_c), dtype=np.int8)
-    rows = out.reshape(n * positions, out_c)
-    block = max(1, min(n, PATCH_BLOCK_BYTES // (positions * k * weights.dtype.itemsize)))
+    out = np.empty((sets, n, out_h, out_w, out_c), dtype=np.int8)
+    rows = out.reshape(sets, n * positions, out_c)
+    width = sets * out_c
+    block = max(1, min(n, PATCH_BLOCK_BYTES // (positions * (k + width) * weights.dtype.itemsize)))
     native = load_native()
     if native is not None:
         x = np.ascontiguousarray(x)
         cols = np.empty((block * positions, k), dtype=weights.dtype)
-    acc = np.empty((block * positions, out_c), dtype=weights.dtype)
+    acc = np.empty((block * positions, width), dtype=weights.dtype)
     for start in range(0, n, block):
         stop = min(start + block, n)
         m = (stop - start) * positions
@@ -196,8 +212,9 @@ def convolve_blocked(
             patches = cols[:m]
             native.gather(x[start:stop], kernel, stride, padding, input_zero_point, patches)
         np.matmul(patches, weights.T, out=acc[:m])
-        requantize_rows(
-            acc[:m], init, multipliers, output_zero_point, activation_min, activation_max,
-            out=rows[start * positions:stop * positions],
-        )
+        for d in range(sets):
+            requantize_rows(
+                acc[:m, d * out_c:(d + 1) * out_c], init[d], multipliers, output_zero_point,
+                activation_min, activation_max, out=rows[d, start * positions:stop * positions],
+            )
     return out

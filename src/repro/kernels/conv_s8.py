@@ -14,6 +14,12 @@ patch fill and in-register requantize, the gather and the epilogue around
 the BLAS product run in C (:mod:`repro.kernels.native`) where ``gcc`` is
 available, else in NumPy, with the same bits either way.
 
+:func:`convolve_s8_stacked` runs one layer under D retention masks at once
+-- the design-space exploration's sibling designs -- gathering each block of
+patches once for one wide BLAS product whose column slices are requantized
+set by set (a strided epilogue).  :func:`convolve_s8` is its one-mask case,
+so both run the same code.
+
 Two features go beyond the stock kernel and exist for the paper's framework:
 
 * ``weight_mask`` -- a boolean ``(out_channels, K)`` matrix selecting which
@@ -27,13 +33,12 @@ Two features go beyond the stock kernel and exist for the paper's framework:
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.kernels.accumulate import convolve_blocked, prepare_weights
 from repro.kernels.cycle_counters import CycleCounter, KernelStats
-from repro.nn.functional import conv_output_shape
 
 
 def convolve_s8(
@@ -80,28 +85,17 @@ def convolve_s8(
     Returns
     -------
     ndarray
-        int8 output of shape ``(N, out_h, out_w, Cout)``.
+        int8 output of shape ``(N, out_h, out_w, Cout)``: the one weight set
+        of :func:`convolve_s8_stacked`.
     """
-    x = np.asarray(x)
-    weights = np.asarray(weights)
-    if x.dtype != np.int8 or weights.dtype != np.int8:
-        raise TypeError("convolve_s8 expects int8 activations and weights")
-    n, in_h, in_w, in_c = x.shape
-    out_c, kh, kw, w_in_c = weights.shape
-    if w_in_c != in_c:
-        raise ValueError(f"channel mismatch: input {in_c} vs weights {w_in_c}")
-    out_h, out_w = conv_output_shape(in_h, in_w, (kh, kw), stride, padding)
-    k = kh * kw * in_c
-
-    w, init = prepare_weights(weights.reshape(out_c, k), weight_mask, input_zero_point, bias)
-    out = convolve_blocked(
-        x, (kh, kw), stride, padding, input_zero_point, w, init, output_multipliers,
-        output_zero_point, activation_min, activation_max,
+    (out,) = convolve_s8_stacked(
+        x, weights, bias, input_zero_point, output_zero_point, output_multipliers, stride,
+        padding, activation_min, activation_max, weight_masks=[weight_mask],
     )
-
     if counter is not None:
+        out_c, k = np.shape(weights)[0], int(np.prod(np.shape(weights)[1:]))
         retained = out_c * k if weight_mask is None else int(np.count_nonzero(weight_mask))
-        patches = n * out_h * out_w
+        patches = int(np.prod(out.shape[:3]))
         counter.record(
             section,
             KernelStats(
@@ -109,8 +103,47 @@ def convolve_s8(
                 macs_skipped=patches * (out_c * k - retained),
                 output_elements=patches * out_c,
                 patch_elements=patches * k,
-                input_elements=n * in_h * in_w * in_c,
+                input_elements=int(np.prod(np.shape(x))),
                 bias_loads=patches * out_c,
             ),
         )
     return out
+
+
+def convolve_s8_stacked(
+    x: np.ndarray,
+    weights: np.ndarray,
+    bias: Optional[np.ndarray],
+    input_zero_point: int,
+    output_zero_point: int,
+    output_multipliers: np.ndarray,
+    stride: Tuple[int, int] = (1, 1),
+    padding: Tuple[int, int] = (0, 0),
+    activation_min: int = -128,
+    activation_max: int = 127,
+    weight_masks: Sequence[Optional[np.ndarray]] = (None,),
+) -> np.ndarray:
+    """One layer's convolution of ``x`` under each of D retention masks, sharing one patch gather.
+
+    The arguments are those of :func:`convolve_s8`, with one mask (or
+    ``None``) per weight set in ``weight_masks``.  Returns the int8
+    ``(D, N, out_h, out_w, Cout)`` outputs; ``out[d]`` is bit for bit
+    ``convolve_s8(..., weight_mask=weight_masks[d])``.
+    """
+    x = np.asarray(x)
+    weights = np.asarray(weights)
+    if x.dtype != np.int8 or weights.dtype != np.int8:
+        raise TypeError("convolve_s8 expects int8 activations and weights")
+    _, _, _, in_c = x.shape
+    out_c, kh, kw, w_in_c = weights.shape
+    if w_in_c != in_c:
+        raise ValueError(f"channel mismatch: input {in_c} vs weights {w_in_c}")
+    if not weight_masks:
+        raise ValueError("weight_masks needs at least one weight set")
+    matrix = weights.reshape(out_c, kh * kw * in_c)
+    sets = [prepare_weights(matrix, mask, input_zero_point, bias) for mask in weight_masks]
+    w = sets[0][0] if len(sets) == 1 else np.concatenate([w for w, _ in sets])
+    return convolve_blocked(
+        x, (kh, kw), stride, padding, input_zero_point, w, np.stack([init for _, init in sets]),
+        output_multipliers, output_zero_point, activation_min, activation_max,
+    )

@@ -16,7 +16,11 @@
  *                 in double in the order accumulate_requantize's NumPy code
  *                 uses, so the results are bit-identical to it.  Build with
  *                 -ffp-contract=off and never -ffast-math, which would fuse
- *                 or reorder them.
+ *                 or reorder them.  The accumulator rows are `stride`
+ *                 elements apart: one weight set's column slice of a
+ *                 stacked product.  Contiguous rows (stride == channels)
+ *                 run as one flat loop over a tile of rows, which keeps the
+ *                 vector lanes full whatever the channel count.
  *
  * Each kernel comes in a float and a double variant, one per exact compute
  * dtype (exact_matmul_dtype).
@@ -26,6 +30,20 @@
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
+
+/* Elements of the per-channel vectors a contiguous epilogue repeats over a
+   tile of rows (two 8 KiB stack buffers). */
+#define TILE 1024
+
+/* One output: every step in double, in the order of the NumPy epilogue. */
+static inline int8_t requantize_one(double acc, double init, double multiplier,
+                                    double offset, double lo, double hi)
+{
+    double v = (acc + init) * multiplier;
+    v = rint(v) + offset;
+    v = v < lo ? lo : (v > hi ? hi : v);
+    return (int8_t)v;
+}
 
 #define DEFINE_KERNELS(SUFFIX, T)                                               \
     int gather_##SUFFIX(const int8_t *restrict x, int64_t n, int64_t in_h,     \
@@ -71,21 +89,40 @@
     }                                                                          \
                                                                                \
     void requantize_##SUFFIX(const T *restrict acc, int64_t rows,              \
-                             int64_t channels, const double *restrict init,    \
+                             int64_t channels, int64_t stride,                 \
+                             const double *restrict init,                      \
                              const double *restrict multipliers,               \
                              int32_t output_zero_point, int32_t activation_min, \
                              int32_t activation_max, int8_t *restrict out)     \
     {                                                                          \
         const double offset = output_zero_point;                               \
         const double lo = activation_min, hi = activation_max;                 \
-        for (int64_t r = 0; r < rows; ++r, acc += channels, out += channels) { \
-            for (int64_t c = 0; c < channels; ++c) {                           \
-                double v = ((double)acc[c] + init[c]) * multipliers[c];        \
-                v = rint(v) + offset;                                          \
-                v = v < lo ? lo : (v > hi ? hi : v);                           \
-                out[c] = (int8_t)v;                                            \
+        const int64_t tile_rows = stride == channels && channels <= TILE       \
+            ? (rows < TILE / channels ? rows : TILE / channels) : 0;           \
+        if (tile_rows > 1) {                                                   \
+            /* Contiguous rows: one flat loop over a tile of whole rows       \
+               against the per-channel vectors repeated to the tile's width,  \
+               so no row leaves a scalar channel tail. */                      \
+            double tile_init[TILE], tile_multipliers[TILE];                    \
+            const int64_t width = tile_rows * channels;                        \
+            for (int64_t t = 0; t < width; ++t) {                              \
+                tile_init[t] = init[t % channels];                             \
+                tile_multipliers[t] = multipliers[t % channels];               \
             }                                                                  \
+            const int64_t total = rows * channels;                             \
+            for (int64_t s = 0; s < total; s += width) {                       \
+                const int64_t m = total - s < width ? total - s : width;       \
+                for (int64_t t = 0; t < m; ++t)                                \
+                    out[s + t] = requantize_one(acc[s + t], tile_init[t],      \
+                                                tile_multipliers[t], offset,   \
+                                                lo, hi);                       \
+            }                                                                  \
+            return;                                                            \
         }                                                                      \
+        for (int64_t r = 0; r < rows; ++r, acc += stride, out += channels)     \
+            for (int64_t c = 0; c < channels; ++c)                             \
+                out[c] = requantize_one(acc[c], init[c], multipliers[c],       \
+                                        offset, lo, hi);                       \
     }
 
 DEFINE_KERNELS(f32, float)

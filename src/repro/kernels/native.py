@@ -3,7 +3,9 @@
 ``native.c`` holds the two memory passes around the BLAS product of
 :func:`~repro.kernels.accumulate.convolve_blocked`: the patch gather and
 the fused requantize epilogue, each in a float32 and a float64 variant (see
-the source for what they compute).  :func:`load_native` compiles it with the
+the source for what they compute).  The epilogue reads accumulator rows a
+given stride apart, so it runs on one weight set's column slice of a
+stacked product without a copy.  :func:`load_native` compiles it with the
 local ``gcc`` into ``default_cache_dir()/native/<digest>.so`` -- the digest
 covers the source, the flags and the machine -- and loads it through
 :mod:`ctypes`.  The compiler writes a temporary file that is then renamed
@@ -124,7 +126,7 @@ class NativeKernels:
             gather.argtypes = [pointer, *[i64] * 12, i32, pointer]
             gather.restype = ctypes.c_int
             requantize = getattr(lib, f"requantize_{suffix}")
-            requantize.argtypes = [pointer, i64, i64, pointer, pointer, i32, i32, i32, pointer]
+            requantize.argtypes = [pointer, i64, i64, i64, pointer, pointer, i32, i32, i32, pointer]
             requantize.restype = None
             self._gather[dtype] = gather
             self._requantize[dtype] = requantize
@@ -169,17 +171,24 @@ class NativeKernels:
     ) -> None:
         """Requantize the ``(P, Cout)`` float accumulator into the C-contiguous int8 ``out``.
 
-        ``init`` and ``multipliers`` are per-channel (or scalar) values
-        widened to float64, as the NumPy epilogue widens them.
+        ``acc`` may be a column slice of a wider accumulator (one weight
+        set of a stacked product): its rows may lie any whole number of
+        elements apart, but each row's channels must be adjacent.  ``init``
+        and ``multipliers`` are per-channel (or scalar) values widened to
+        float64, as the NumPy epilogue widens them.
         """
         rows, channels = acc.shape
         if not -128 <= activation_min <= activation_max <= 127:
             raise ValueError(f"activation range [{activation_min}, {activation_max}] exceeds int8")
         requantize = _variant(self._requantize, acc.dtype)
+        itemsize = acc.dtype.itemsize
+        row_stride = acc.strides[0] // itemsize if rows > 1 else channels
+        if (channels > 1 and acc.strides[1] != itemsize) or acc.strides[0] % itemsize or row_stride < channels:
+            raise ValueError(f"accumulator rows must hold adjacent channels, got strides {acc.strides}")
         # The vectors are named so they stay alive through the call.
         init, multipliers = _per_channel(init, channels), _per_channel(multipliers, channels)
         requantize(
-            _address(acc, acc.dtype, acc.shape), rows, channels, init.ctypes.data, multipliers.ctypes.data,
+            acc.ctypes.data, rows, channels, row_stride, init.ctypes.data, multipliers.ctypes.data,
             int(output_zero_point), int(activation_min), int(activation_max),
             _address(out, np.dtype(np.int8), acc.shape, output=True),
         )

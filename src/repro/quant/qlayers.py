@@ -7,7 +7,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from repro.kernels.activations_s8 import relu_s8
-from repro.kernels.conv_s8 import convolve_s8
+from repro.kernels.conv_s8 import convolve_s8, convolve_s8_stacked
 from repro.kernels.cycle_counters import CycleCounter
 from repro.kernels.fully_connected_s8 import fully_connected_s8
 from repro.kernels.pooling_s8 import avg_pool_s8, max_pool_s8
@@ -139,6 +139,26 @@ class QConv2D(QLayer):
             weight_mask=weight_mask,
             counter=counter,
             section=self.name,
+        )
+
+    def forward_stacked(self, x, weight_masks):
+        """``(D, N, out_h, out_w, Cout)`` outputs of ``x`` under each of D masks, sharing one gather.
+
+        ``out[d]`` equals ``forward(x, weight_mask=weight_masks[d])`` bit for
+        bit (:func:`~repro.kernels.conv_s8.convolve_s8_stacked`).
+        """
+        return convolve_s8_stacked(
+            x,
+            self.weights,
+            self.bias,
+            input_zero_point=self.input_params.scalar_zero_point(),
+            output_zero_point=self.output_params.scalar_zero_point(),
+            output_multipliers=self.output_multipliers,
+            stride=self.stride,
+            padding=self.padding,
+            activation_min=self.activation_min,
+            activation_max=self.activation_max,
+            weight_masks=weight_masks,
         )
 
     def output_shape(self, input_shape):

@@ -241,19 +241,20 @@ def execute_layer_turbo(program: LayerProgram, x: np.ndarray) -> np.ndarray:
     """
     if program.is_conv:
         _check_conv_input(program, x)
-        return convolve_blocked(
+        (out,) = convolve_blocked(
             x,
             program.kernel_size,
             program.stride,
             program.padding,
             program.input_zero_point,
             program.dense_weights,
-            program.init_acc,
+            program.init_acc[None],
             program.multipliers,
             program.output_zero_point,
             program.activation_min,
             program.activation_max,
         )
+        return out
     patches, _, out_shape = _gather_patches(program, x, dtype=program.dense_weights.dtype)
     out_flat = accumulate_requantize(
         patches,

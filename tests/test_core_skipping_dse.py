@@ -19,9 +19,22 @@ from repro.core import (
     run_dse,
     select_by_accuracy_loss,
 )
-from repro.core.dse import DesignPoint, _generate_layer_subsets, _mask_key, _subtrees, evaluate_designs
+from repro.core import dse
+from repro.core.dse import (
+    EVAL_BATCH,
+    DesignPoint,
+    _generate_layer_subsets,
+    _layer_costs,
+    _mask_key,
+    _shards,
+    _stack_bytes,
+    _stack_plan,
+    evaluate_designs,
+)
 from repro.core.pareto import is_pareto_optimal
 from repro.core.skipping import conv_mac_reduction
+from repro.models import build_lenet
+from repro.quant import quantize_model
 
 
 class TestBuildSkipMask:
@@ -341,6 +354,8 @@ class TestPrefixSharingEvaluator:
 
     #: 1000 and 2000 both skip every operand of the tiny CNN: identical masks.
     TAUS = [0.0, 0.05, 0.2, 1.0, 1000.0, 2000.0]
+    #: Twelve taus whose joint masks all differ at conv1.
+    JOINT_TAUS = [0.0, 0.01, 0.02, 0.03, 0.05, 0.07, 0.1, 0.15, 0.2, 0.3, 0.5, 1.0]
 
     @pytest.fixture(scope="class")
     def eval_set(self, small_split):
@@ -412,13 +427,18 @@ class TestPrefixSharingEvaluator:
             )
             for mode in ("all", "exhaustive")
         }
-        # Every "all" design masks the first layer differently: nothing to share.
-        assert results["all"].layer_forwards == results["all"].naive_layer_forwards > 0
+        # Every "all" design masks the first layer differently: no prefix to
+        # share, but the designs' conv1 calls share their patch gathers.
+        joint = results["all"]
+        assert joint.layer_forwards == joint.naive_layer_forwards > 0
+        n_chunks = 2
+        assert 0 < joint.conv_gathers < len(joint.points) * len(tiny_qmodel.conv_layers()) * n_chunks
         exhaustive = results["exhaustive"]
         assert 0 < exhaustive.layer_forwards < exhaustive.naive_layer_forwards
         saved = exhaustive.as_dict()
         assert saved["layer_forwards"] == exhaustive.layer_forwards
         assert saved["naive_layer_forwards"] == exhaustive.naive_layer_forwards
+        assert saved["conv_gathers"] == exhaustive.conv_gathers > 0
         assert saved["points"] == exhaustive.as_table()
 
     def test_identical_designs_run_once(self, tiny_qmodel, eval_set):
@@ -433,23 +453,126 @@ class TestPrefixSharingEvaluator:
         assert evaluation.accuracies == [0.0]
         assert evaluation.layer_forwards == 0
 
-    def test_subtrees_partition_designs_largest_first(self, tiny_significance):
-        names = ["conv1", "pool1", "conv2"]
-        mask_sets = [{}] + [
-            build_model_masks(tiny_significance, {name: tau for name in subset})
-            for subset in _generate_layer_subsets(["conv1", "conv2"], "exhaustive")
-            for tau in (0.05, 0.2)
-        ]
-        designs = sorted(
-            (
-                (i, tuple(_mask_key(m[n]) if n in m else b"" for n in names), m)
-                for i, m in enumerate(mask_sets)
-            ),
-            key=lambda d: d[1],
+    def test_shards_keep_siblings_together(self, tiny_qmodel, tiny_significance):
+        names = [layer.name for layer in tiny_qmodel.layers]
+        convs = tiny_significance.layer_names()
+
+        def sorted_designs(mask_sets):
+            return sorted(
+                (
+                    (i, tuple(_mask_key(m[n]) if n in m else b"" for n in names), m)
+                    for i, m in enumerate(mask_sets)
+                ),
+                key=lambda d: d[1],
+            )
+
+        costs = _layer_costs(tiny_qmodel)
+
+        def forwards(run):  # the weighted layer forwards a run's own walk executes
+            return sum(
+                sum(costs[dse._divergence(row[1], previous[1] if previous else ()):])
+                for row, previous in zip(run, [None] + run[:-1])
+            )
+
+        def owners(runs):
+            return {d[0]: r for r, run in enumerate(runs) for d in run}
+
+        joint = sorted_designs(
+            [{}] + [build_model_masks(tiny_significance, {n: tau for n in convs}) for tau in self.JOINT_TAUS]
         )
-        groups = _subtrees(designs)
-        assert sorted(d[0] for g in groups for d in g) == list(range(len(mask_sets)))
-        assert [len(g) for g in groups] == sorted((len(g) for g in groups), reverse=True)
-        # conv1 is where the designs diverge: one subtree per distinct conv1 mask.
-        assert len(groups) == len({d[1][0] for d in designs})
-        assert all(len({d[1][0] for d in g}) == 1 for g in groups)
+        exhaustive = sorted_designs(
+            [{}] + [
+                build_model_masks(tiny_significance, {name: tau for name in subset})
+                for subset in _generate_layer_subsets(convs, "exhaustive")
+                for tau in (0.05, 0.2, 1.0)
+            ]
+        )
+        stack_bytes = _stack_bytes(tiny_qmodel, EVAL_BATCH)
+        with pytest.MonkeyPatch.context() as patch:
+            # Room for three conv1 outputs: conv1's distinct masks stack three at a time.
+            patch.setattr(dse, "STACK_BYTES", 3 * stack_bytes[0])
+            plan = _stack_plan([d[1] for d in joint], stack_bytes)
+            # Every joint design masks conv1 differently: stacks of three at conv1.
+            assert sorted(plan.values()) == [[0, 1, 2], [3, 4, 5], [6, 7, 8], [9, 10, 11]]
+            for designs in (joint, exhaustive):
+                for n_items in (1, 2, 3, 4, len(designs) + 1):
+                    runs = _shards(designs, n_items, stack_bytes, costs)
+                    assert len(runs) == min(n_items, len(designs))
+                    assert [d for run in runs for d in run] == designs  # contiguous, in key order
+                    # Each cut lands within one design's walk of an equal share,
+                    # and a run re-runs its first design's shared prefix.
+                    loads = [forwards(run) for run in runs]
+                    assert max(loads) <= forwards(designs) / len(runs) + 2 * sum(costs)
+            # Where a stack boundary lies near each equal share, no stack is split.
+            for n_items in (2, 4):
+                run_of = owners(_shards(joint, n_items, stack_bytes, costs))
+                assert all(len({run_of[joint[p][0]] for p in group}) == 1 for group in plan.values())
+        assert _shards([], 2, stack_bytes, costs) == []
+
+
+@pytest.fixture(scope="module")
+def walk_models(tiny_qmodel, small_split):
+    """The tiny CNN and an (untrained) quantized LeNet, each with 20 labelled images."""
+    rng = np.random.default_rng(11)
+    images = rng.random((20, 32, 32, 3)).astype(np.float32)
+    model = build_lenet(input_shape=(32, 32, 3), n_classes=10, rng=5)
+    model.eval()
+    lenet = quantize_model(model, images[:16], name="lenet")
+    tiny_images, tiny_labels = small_split.test.images[:20], small_split.test.labels[:20]
+    return {
+        "tiny": (tiny_qmodel, tiny_images, tiny_labels),
+        "lenet": (lenet, images, rng.integers(0, 10, size=20)),
+    }
+
+
+class TestWalkOracle:
+    """The DSE walk against ``evaluate_accuracy`` on random whole-model masks.
+
+    Each design draws every conv layer's mask from a small pool (absent,
+    i.e. exact, two random masks and the all-true mask), so designs repeat
+    masks, share prefixes and stack siblings; the exact ``{}`` and a
+    repeated design are always among them.  The stack budget is drawn in
+    units of the largest conv output (0 stacks nothing), and the walk runs
+    in 8-image chunks or one chunk, serially and on two workers.
+    """
+
+    @given(
+        model=st.sampled_from(["tiny", "lenet"]),
+        seed=st.integers(0, 2**32 - 1),
+        n_designs=st.integers(1, 8),
+        stack_outputs=st.sampled_from([0, 1, 2, 3, None]),  # None: the default budget
+        chunk=st.sampled_from([8, EVAL_BATCH]),
+    )
+    @settings(max_examples=12, deadline=None)
+    def test_walk_matches_evaluate_accuracy(
+        self, walk_models, model, seed, n_designs, stack_outputs, chunk
+    ):
+        qmodel, images, labels = walk_models[model]
+        rng = np.random.default_rng(seed)
+        convs = qmodel.conv_layers()
+        pools = {
+            conv.name: [None, *(
+                rng.random((conv.out_channels, conv.operands_per_channel)) < rng.uniform(0.1, 0.9)
+                for _ in range(2)
+            ), np.ones((conv.out_channels, conv.operands_per_channel), dtype=bool)]
+            for conv in convs
+        }
+        mask_sets = [{}]
+        for _ in range(n_designs):
+            drawn = {name: pool[rng.integers(len(pool))] for name, pool in pools.items()}
+            mask_sets.append({name: mask for name, mask in drawn.items() if mask is not None})
+        mask_sets.append(dict(mask_sets[rng.integers(len(mask_sets))]))
+        mask_sets = [mask_sets[i] for i in rng.permutation(len(mask_sets))]
+        expected = [qmodel.evaluate_accuracy(images, labels, masks=m) for m in mask_sets]
+
+        n_chunks = -(-len(images) // chunk)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(dse, "EVAL_BATCH", chunk)
+            if stack_outputs is not None:
+                largest = max(_stack_bytes(qmodel, min(len(images), chunk)))
+                patch.setattr(dse, "STACK_BYTES", stack_outputs * largest)
+            for n_workers in (1, 2):
+                evaluation = evaluate_designs(qmodel, mask_sets, images, labels, n_workers=n_workers)
+                assert evaluation.accuracies == expected, n_workers
+                assert evaluation.layer_forwards <= evaluation.naive_layer_forwards
+                assert evaluation.conv_gathers <= len(mask_sets) * len(convs) * n_chunks

@@ -33,6 +33,7 @@ from repro.kernels import (
 from repro.core.unpacking import unpack_layer
 from repro.kernels import accumulate
 from repro.kernels.accumulate import exact_matmul_dtype, prepare_weights
+from repro.kernels.conv_s8 import convolve_s8_stacked
 import repro.kernels
 from repro.kernels import native
 from repro.kernels.native import NativeKernels, load_native
@@ -475,7 +476,8 @@ class TestBlockedConvolution:
         mask = _random_mask(rng, out_c, k, True, 1)
         x = _int8(rng, (batch, 6, 7, in_c), False)
         out_h, out_w, _ = qlayer.output_shape(x.shape[1:])
-        image_bytes = out_h * out_w * k * exact_matmul_dtype(k).itemsize
+        # One image's patches and accumulator, the two buffers a block holds.
+        image_bytes = out_h * out_w * (k + out_c) * exact_matmul_dtype(k).itemsize
         budget = images_per_block * image_bytes if images_per_block else image_bytes - 1
         monkeypatch.setattr(accumulate, "PATCH_BLOCK_BYTES", budget)
 
@@ -537,6 +539,76 @@ class TestBlockedConvolution:
             np.testing.assert_array_equal(out, expected, err_msg=name)
 
 
+class TestStackedConvolution:
+    """D stacked weight sets share one gather and one product, and change no bit.
+
+    ``convolve_s8_stacked`` runs one layer under D masks (an unmasked set,
+    random masks and, from D = 3 on, two equal masks) with ``PATCH_BLOCK_BYTES``
+    cut to a few images or below one, so blocks split the batch unevenly.
+    Every ``out[d]`` must equal the loop reference and ``convolve_s8`` with
+    that mask, on every backend: the stacked sets reach the epilogue as
+    strided column slices, a single set as contiguous rows.
+    """
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n_sets=st.integers(1, 4),
+        kernel=st.tuples(st.integers(1, 3), st.integers(1, 3)),
+        stride=st.tuples(st.integers(1, 2), st.integers(1, 2)),
+        padding=st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        extent=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+        batch=st.integers(1, 3),
+        out_c=st.sampled_from([1, 3, 16, 26]),
+        large_k=st.booleans(),
+        images_per_block=st.integers(0, 2),  # 0: a budget below one image
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_each_set_matches_its_own_convolution(
+        self, backends, seed, n_sets, kernel, stride, padding, extent, batch, out_c, large_k,
+        images_per_block,
+    ):
+        rng = np.random.default_rng(seed)
+        kh, kw = kernel
+        padding = (min(padding[0], kh - 1), min(padding[1], kw - 1))
+        in_c = 1024 // (kh * kw) + 2 if large_k else int(rng.integers(1, 5))
+        k = kh * kw * in_c
+        assert exact_matmul_dtype(k) == (np.float64 if large_k else np.float32)
+        in_zp, out_zp = (int(v) for v in rng.integers(-128, 128, size=2))
+        weights, bias, multipliers = _layer_constants(rng, out_c, k, True, False, False)
+        weights = weights.reshape(out_c, kh, kw, in_c)
+        masks = [None] + [_random_mask(rng, out_c, k, True, 0) for _ in range(n_sets - 1)]
+        if n_sets >= 3:
+            masks[2] = masks[1].copy()
+        x = _int8(rng, (batch, kh + extent[0], kw + extent[1], in_c), False)
+        args = (x, weights, bias, in_zp, out_zp, multipliers, stride, padding, -128, 127)
+
+        expected = np.stack([naive_convolve_s8(*args, mask=mask) for mask in masks])
+        out_h, out_w = expected.shape[2:4]
+        image_bytes = out_h * out_w * (k + n_sets * out_c) * exact_matmul_dtype(k).itemsize
+        budget = images_per_block * image_bytes if images_per_block else image_bytes - 1
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(accumulate, "PATCH_BLOCK_BYTES", budget)
+            for name, use in backends.items():
+                with use():
+                    stacked = convolve_s8_stacked(*args, weight_masks=masks)
+                    singles = [convolve_s8(*args, weight_mask=mask) for mask in masks]
+                np.testing.assert_array_equal(stacked, expected, err_msg=name)
+                np.testing.assert_array_equal(np.stack(singles), expected, err_msg=name)
+
+    def test_rejects_mismatched_stacks(self):
+        x = np.zeros((1, 4, 4, 2), dtype=np.int8)
+        weights = np.ones((3, 2, 2, 2), dtype=np.int8)
+        with pytest.raises(ValueError, match="at least one"):
+            convolve_s8_stacked(x, weights, None, 0, 0, np.ones(3), weight_masks=[])
+        with pytest.raises(ValueError, match="weight_mask shape"):
+            convolve_s8_stacked(x, weights, None, 0, 0, np.ones(3), weight_masks=[None, np.ones((3, 7), bool)])
+        with pytest.raises(ValueError, match="stack"):
+            accumulate.convolve_blocked(
+                x, (2, 2), (1, 1), (0, 0), 0, np.ones((5, 8), np.float32), np.zeros((2, 3)),
+                np.ones(3), 0, -128, 127,
+            )
+
+
 class TestNativeKernels:
     """The native backend is built wherever gcc is, and never falls back silently."""
 
@@ -589,6 +661,12 @@ class TestNativeKernels:
                 kernels.requantize(acc, 0.0, 1.0, 0, -128, 127, bad)
         with pytest.raises(ValueError, match="activation range"):
             kernels.requantize(acc, 0.0, 1.0, 0, 5, 4, out)
+        # A column slice of a wider accumulator is read in place; spread-out channels are refused.
+        wide = np.arange(4 * 12, dtype=np.float64).reshape(4, 12)
+        kernels.requantize(wide[:, 6:], 0.0, 1.0, 0, -128, 127, out)
+        np.testing.assert_array_equal(out, wide[:, 6:])
+        with pytest.raises(ValueError, match="adjacent channels"):
+            kernels.requantize(wide[:, ::2], 0.0, 1.0, 0, -128, 127, out)
 
     def test_concurrent_first_builds_load_one_library(self, tmp_path):
         if shutil.which("gcc") is None:
